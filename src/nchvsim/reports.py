@@ -18,11 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FixtureParseError, SimulationError, ValidationError
-from .experiment import (
-    PhaseSetting,
-    correlation_qm2,
-    correlation_qm3,
-)
+from .experiment import PhaseSetting, correlations
 from .montecarlo import (
     CorrelationEstimate,
     NoiseModel,
@@ -358,22 +354,41 @@ def run_exp2_report(config: RunConfig) -> Report:
     return Report(_config_echo(config), entries, derived, verdict)
 
 
+def _grid_threshold(amplitude: float, limit: float, resolution: float) -> float:
+    """The first visibility v on ``np.linspace(0.0, 1.0, steps + 1)``, with
+    steps = round(1 / resolution), for which v * amplitude > limit.
+
+    Needs amplitude > limit.  Grid point k is k * (1 / steps) as linspace
+    computes it, and 1.0 at k = steps; the product grows with k, so the
+    search starts from the exact quotient and steps to the first such k."""
+    steps = int(round(1.0 / resolution))
+    step = 1.0 / steps
+
+    def visibility(k: int) -> float:
+        return 1.0 if k == steps else k * step
+
+    k = min(int(limit / amplitude * steps), steps)
+    while k > 0 and visibility(k - 1) * amplitude > limit:
+        k -= 1
+    while not visibility(k) * amplitude > limit:
+        k += 1
+    return visibility(k)
+
+
 def threshold_study(expression: str, resolution: float = 1e-4) -> dict:
-    """Scan visibility for the smallest value whose noisy quantum expression
-    exceeds the enumerated classical bound."""
+    """Smallest visibility, on a grid of spacing ``resolution``, whose noisy
+    quantum expression exceeds the enumerated classical bound."""
     if not 0.0 < resolution <= 0.1:
         raise ValidationError(f"resolution must be in (0, 0.1], got {resolution!r}")
     half_pi = math.pi / 2.0
     quarter_pi = math.pi / 4.0
     if expression == "mermin":
-        settings = _exp1_settings(half_pi, 0.0)
-        ideal = [correlation_qm3(s) for s in settings]
+        ideal = correlations(_exp1_settings(half_pi, 0.0))
         amplitude = abs(ideal[3] - ideal[0] - ideal[1] - ideal[2])
         grid = PhaseGrid((half_pi, 0.0), (0.0, half_pi), (0.0, half_pi))
         limit = classical_bound(mermin_expression(), grid)
     elif expression == "chsh":
-        settings = _exp2_settings(quarter_pi, -quarter_pi)
-        ideal = [correlation_qm2(s) for s in settings]
+        ideal = correlations(_exp2_settings(quarter_pi, -quarter_pi))
         signs = [+1, +1, +1, -1]
         amplitude = abs(sum(s * e for s, e in zip(signs, ideal)))
         grid = PhaseGrid((quarter_pi, -quarter_pi), (0.0, half_pi))
@@ -382,20 +397,15 @@ def threshold_study(expression: str, resolution: float = 1e-4) -> dict:
         raise ValidationError(
             f"expression must be 'chsh' or 'mermin', got {expression!r}"
         )
-    steps = int(round(1.0 / resolution))
-    visibilities = np.linspace(0.0, 1.0, steps + 1)
-    values = visibilities * amplitude
-    above = values > limit
-    if not above.any():
+    if not amplitude > limit:
         raise SimulationError(
             f"{expression} expression never exceeds the classical bound"
         )
-    threshold = float(visibilities[int(np.argmax(above))])
     return {
         "expression": expression,
         "classical_bound": limit,
         "quantum_value_at_unit_visibility": float(amplitude),
-        "threshold_visibility": threshold,
+        "threshold_visibility": _grid_threshold(amplitude, limit, resolution),
         "resolution": resolution,
         "efficiency_threshold_quoted": DETECTION_EFFICIENCY_THRESHOLD,
     }
@@ -451,6 +461,10 @@ def load_replay_rows(path) -> list[ReplayRow]:
                 None if phi_c_text == "" else _parse_float(record[2], line_number, "phi_c")
             )
             value = _parse_float(record[3], line_number, "E")
+            if not -1.0 <= value <= 1.0:
+                raise FixtureParseError(
+                    line_number, f"column 'E': {value!r} outside [-1, 1]"
+                )
             sigma = _parse_float(record[4], line_number, "sigma")
             if sigma < 0.0:
                 raise FixtureParseError(line_number, "sigma must be >= 0")

@@ -2,11 +2,23 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nchvsim.errors import FixtureParseError, ValidationError
+from nchvsim.experiment import PhaseSetting, correlation_qm2, correlation_qm3
 from nchvsim.montecarlo import NoiseModel
+from nchvsim.nchv import (
+    DETECTION_EFFICIENCY_THRESHOLD,
+    PhaseGrid,
+    chsh_expression,
+    classical_bound,
+    mermin_expression,
+)
 from nchvsim.reports import (
+    _grid_threshold,
     Report,
     RunConfig,
     SCAN_CSV_HEADER,
@@ -383,3 +395,82 @@ def test_render_text_contains_rounded_summary():
     assert "verdict:" in text
     sim_text = render_report_text(run_exp1_report(exp1_config()))
     assert "seed=2024" in sim_text
+
+
+def _grid_scan(amplitude, limit, resolution):
+    """Reference: scan every visibility on the grid for the first violation."""
+    steps = int(round(1.0 / resolution))
+    visibilities = np.linspace(0.0, 1.0, steps + 1)
+    above = visibilities * amplitude > limit
+    assert above.any()
+    return float(visibilities[int(np.argmax(above))])
+
+
+def _grid_scan_study(expression, resolution):
+    """Reference: the threshold study by scalar correlations and a full scan."""
+    q, h = math.pi / 4.0, math.pi / 2.0
+    if expression == "mermin":
+        e = [correlation_qm3(PhaseSetting(*p))
+             for p in ((h, 0.0, 0.0), (0.0, h, 0.0), (0.0, 0.0, h), (h, h, h))]
+        amplitude = abs(e[3] - e[0] - e[1] - e[2])
+        limit = classical_bound(mermin_expression(), PhaseGrid((h, 0.0), (0.0, h), (0.0, h)))
+    else:
+        e = [correlation_qm2(PhaseSetting(*p)) for p in ((q, 0.0), (q, h), (-q, h), (-q, 0.0))]
+        amplitude = abs(e[0] + e[1] + e[2] - e[3])
+        limit = classical_bound(chsh_expression(), PhaseGrid((q, -q), (0.0, h)))
+    return {
+        "expression": expression,
+        "classical_bound": limit,
+        "quantum_value_at_unit_visibility": float(amplitude),
+        "threshold_visibility": _grid_scan(amplitude, limit, resolution),
+        "resolution": resolution,
+        "efficiency_threshold_quoted": DETECTION_EFFICIENCY_THRESHOLD,
+    }
+
+
+@pytest.mark.parametrize("resolution", [1e-4, 1e-3, 3e-3, 0.05, 0.1])
+@pytest.mark.parametrize("expression", ["chsh", "mermin"])
+def test_threshold_study_equals_grid_scan(expression, resolution):
+    assert threshold_study(expression, resolution) == _grid_scan_study(expression, resolution)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    limit=st.floats(0.01, 100.0),
+    ratio=st.floats(1.0, 1000.0, exclude_min=True),
+    resolution=st.floats(1e-5, 0.1),
+)
+def test_grid_threshold_equals_grid_scan(limit, ratio, resolution):
+    amplitude = limit * ratio
+    assume(amplitude > limit)
+    assert _grid_threshold(amplitude, limit, resolution) == _grid_scan(
+        amplitude, limit, resolution
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "phi_a,phi_b,phi_c,E,sigma\n"
+        "0.46,0,0,0.885,0.005\n"
+        "0.01,0.5,0,1.01,0.005\n"
+        "0.01,0,0.5,0.884,0.005\n"
+        "0.46,0.5,0.5,-0.885,0.005\n",
+        "phi_a,phi_b,phi_c,E,sigma\n"
+        "0.25,0,,0.586,0.01\n"
+        "0.25,0.5,,1.01,0.01\n"
+        "-0.25,0.5,,0.714,0.01\n"
+        "-0.25,0,,-0.590,0.01\n",
+        "phi_a,phi_b,phi_c,E,sigma\n"
+        "0.25,0,,0.586,0.01\n"
+        "0.25,0.5,,-1.01,0.01\n",
+    ],
+    ids=["exp1", "exp2", "exp2-negative"],
+)
+def test_replay_rejects_correlations_outside_unit_interval(tmp_path, text):
+    path = tmp_path / "values.csv"
+    path.write_text(text)
+    with pytest.raises(FixtureParseError) as excinfo:
+        replay(path)
+    assert excinfo.value.line_number == 3
+    assert "outside [-1, 1]" in str(excinfo.value)
