@@ -248,12 +248,10 @@ def mermin_expression() -> tuple[ExpressionTerm, ...]:
 
 
 def _sign_matrix(n: int) -> np.ndarray:
-    """All 2**n sign rows; bit 0 of the row index drives column 0."""
-    if n == 0:
-        return np.ones((1, 0), dtype=np.int64)
-    rows = np.arange(2**n, dtype=np.int64)
-    bits = (rows[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
-    return (1 - 2 * bits).astype(np.int64)
+    """All 2**n sign rows as int8; bit j of the row index sets column j to -1."""
+    rows = np.arange(2**n, dtype="<u4").view(np.uint8).reshape(2**n, 4)
+    bits = np.unpackbits(rows, axis=1, count=n, bitorder="little")
+    return 1 - 2 * bits.view(np.int8)
 
 
 def classical_bound(
@@ -261,11 +259,13 @@ def classical_bound(
 ) -> float:
     """Maximum of the expression over every deterministic assignment.
 
-    The two smallest observable blocks are enumerated outright; the largest
-    block is optimized term-by-term, which is exact because the expression
-    is linear in each observable's values once the others are fixed.
-    Mixtures cannot exceed deterministic assignments, so this is the NCHV
-    bound."""
+    Only the phases some term reads are enumerated: an unread phase's value
+    cannot change the sum.  Of the read phases, the block with the most is
+    optimized term-by-term, which is exact because the expression is linear
+    in each observable's values once the others are fixed; the read phases of
+    the other two blocks are enumerated outright.  The MAX_ENUMERATION_BITS
+    ceiling still applies to the grid as given.  Mixtures cannot exceed
+    deterministic assignments, so this is the NCHV bound."""
     if not expression:
         raise ValidationError("expression must contain at least one term")
     na, nb, nc = grid.sizes()
@@ -280,34 +280,34 @@ def classical_bound(
         if term.c_index is not None:
             _check_index("c", term.c_index, nc)
 
-    sizes = {"a": na, "b": nb, "c": nc}
-    # Optimize the block with the most phases; enumerate the other two.
-    free = max(sizes, key=lambda k: sizes[k])
-    enum1, enum2 = sorted(k for k in sizes if k != free)
-
-    def part(term: ExpressionTerm, block: str) -> int | None:
-        return {"a": term.a_index, "b": term.b_index, "c": term.c_index}[block]
-
-    m1 = _sign_matrix(sizes[enum1])
-    m2 = _sign_matrix(sizes[enum2])
-    shape = (m1.shape[0], m2.shape[0])
-    base = np.zeros(shape, dtype=np.int64)
-    per_free = [np.zeros(shape, dtype=np.int64) for _ in range(sizes[free])]
-    for term in expression:
-        i1 = part(term, enum1)
-        i2 = part(term, enum2)
-        col1 = m1[:, i1] if i1 is not None else np.ones(shape[0], dtype=np.int64)
-        col2 = m2[:, i2] if i2 is not None else np.ones(shape[1], dtype=np.int64)
-        slab = term.sign * np.outer(col1, col2)
-        k = part(term, free)
-        if k is None:
-            base += slab
-        else:
-            per_free[k] += slab
-    totals = base.astype(np.float64)
-    for slab in per_free:
-        totals += np.abs(slab)
-    return float(totals.max())
+    # Number each block's read phases in first-use order.
+    reads = [(term.a_index, term.b_index, term.c_index) for term in expression]
+    used: list[dict[int, int]] = [{}, {}, {}]
+    for indices in reads:
+        for block, index in zip(used, indices):
+            if index is not None:
+                block.setdefault(index, len(block))
+    # Optimize the block with the most read phases; enumerate the other two.
+    free = max(range(3), key=lambda k: len(used[k]))
+    enum1, enum2 = (k for k in range(3) if k != free)
+    offset2 = len(used[enum1])
+    signs = _sign_matrix(offset2 + len(used[enum2]))
+    # Column 0 sums the terms that do not read the free block; column 1 + k
+    # sums those that read its k-th read phase.
+    acc = np.zeros((signs.shape[0], 1 + len(used[free])), dtype=np.int64)
+    for term, indices in zip(expression, reads):
+        product = np.full(signs.shape[0], term.sign, dtype=np.int8)
+        if indices[enum1] is not None:
+            product *= signs[:, used[enum1][indices[enum1]]]
+        if indices[enum2] is not None:
+            product *= signs[:, offset2 + used[enum2][indices[enum2]]]
+        k = indices[free]
+        acc[:, 0 if k is None else 1 + used[free][k]] += product
+    # Free the signs and take |.| in place rather than in a copy of acc, so
+    # an expression that reads every phase peaks near acc's own size.
+    del signs
+    np.abs(acc[:, 1:], out=acc[:, 1:])
+    return float(acc.sum(axis=1).max())
 
 
 def _check_correlation_input(name: str, value: float):

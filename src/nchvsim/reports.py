@@ -264,14 +264,30 @@ def _exp1_derived(estimates: list[CorrelationEstimate]) -> tuple[dict, dict]:
     violated = abs(m) > limit
     verdict = {
         "violated": violated,
-        "summary": _verdict_summary("three-analyzer", m, limit, significance, violated),
+        "summary": _verdict_summary(
+            "three-analyzer", m, limit, significance, violated, simulated=True
+        ),
     }
     return derived, verdict
 
 
 def _verdict_summary(
-    label: str, value: float, limit: float, significance: float | None, violated: bool
+    label: str,
+    value: float,
+    limit: float,
+    significance: float | None,
+    violated: bool,
+    simulated: bool = False,
 ) -> str:
+    """One-line verdict.  A sigma of 0 is exact for replayed inputs that
+    declare it, but in a simulated run it only means too few trials."""
+    if simulated and significance is None:
+        relation = ">" if violated else "<="
+        return (
+            f"{label} inequality not assessed: |{value:.3f}| {relation} {limit:g} "
+            "with no error estimate (sigma is 0 at this number of trials); "
+            "more trials are needed"
+        )
     if not violated:
         return (
             f"{label} inequality satisfied: |{value:.3f}| <= {limit:g}; "
@@ -335,7 +351,9 @@ def _exp2_derived(estimates: list[CorrelationEstimate]) -> tuple[dict, dict]:
     violated = abs(s) > limit
     verdict = {
         "violated": violated,
-        "summary": _verdict_summary("event-ready", s, limit, significance, violated),
+        "summary": _verdict_summary(
+            "event-ready", s, limit, significance, violated, simulated=True
+        ),
     }
     return derived, verdict
 

@@ -1,0 +1,122 @@
+"""classical_bound against brute force, its invariance under unread phases,
+and the memory its enumeration takes."""
+
+import itertools
+import tracemalloc
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nchvsim.nchv import ExpressionTerm, PhaseGrid, classical_bound
+
+MB = 1_000_000
+
+
+def grid_of(sizes):
+    return PhaseGrid(*(tuple(float(i) for i in range(n)) for n in sizes))
+
+
+def brute_force(terms, sizes):
+    """Maximum over every +-1 assignment of every grid bit."""
+    na, nb, _ = sizes
+    best = None
+    for values in itertools.product((+1, -1), repeat=sum(sizes)):
+        a, b, c = values[:na], values[na : na + nb], values[na + nb :]
+        total = sum(
+            t.sign
+            * a[t.a_index]
+            * b[t.b_index]
+            * (1 if t.c_index is None else c[t.c_index])
+            for t in terms
+        )
+        best = total if best is None else max(best, total)
+    return float(best)
+
+
+@st.composite
+def expressions_on_grids(draw, max_bits=14):
+    """1-6 terms with random signs, mixing two- and three-analyzer terms,
+    on the smallest grid holding their indices (``read``) and on that grid
+    widened by at least one phase no term reads (``grid``)."""
+    n_terms = draw(st.integers(1, 6))
+    three = st.booleans()
+    terms = tuple(
+        ExpressionTerm(
+            draw(st.sampled_from((+1, -1))),
+            draw(st.integers(0, 3)),
+            draw(st.integers(0, 3)),
+            draw(st.integers(0, 3)) if draw(three) else None,
+        )
+        for _ in range(n_terms)
+    )
+    read = (
+        1 + max(t.a_index for t in terms),
+        1 + max(t.b_index for t in terms),
+        max((1 + t.c_index for t in terms if t.c_index is not None), default=0),
+    )
+    room = max_bits - sum(read)
+    extra_a = draw(st.integers(0, room))
+    extra_b = draw(st.integers(0, room - extra_a))
+    low_c = 1 if extra_a + extra_b == 0 else 0
+    extra_c = draw(st.integers(low_c, room - extra_a - extra_b))
+    grid = (read[0] + extra_a, read[1] + extra_b, read[2] + extra_c)
+    return terms, read, grid
+
+
+@settings(max_examples=100, deadline=None)
+@given(expressions_on_grids())
+def test_classical_bound_equals_brute_force(case):
+    terms, _, sizes = case
+    assert classical_bound(terms, grid_of(sizes)) == brute_force(terms, sizes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions_on_grids(max_bits=24))
+def test_unread_phases_never_change_the_bound(case):
+    terms, read, sizes = case
+    assert classical_bound(terms, grid_of(sizes)) == classical_bound(
+        terms, grid_of(read)
+    )
+
+
+def peak_bytes(terms, sizes):
+    grid = grid_of(sizes)
+    classical_bound(terms, grid)
+    tracemalloc.start()
+    try:
+        classical_bound(terms, grid)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bound_on_8x8x8_grid_with_five_terms_stays_small():
+    terms = (
+        ExpressionTerm(+1, 0, 1, 2),
+        ExpressionTerm(-1, 3, 4, 5),
+        ExpressionTerm(+1, 6, 7, 0),
+        ExpressionTerm(-1, 1, 2, 3),
+        ExpressionTerm(+1, 4, 5, 6),
+    )
+    assert peak_bytes(terms, (8, 8, 8)) < 1 * MB
+
+
+def test_bound_on_12x12_grid_with_five_terms_stays_small():
+    terms = (
+        ExpressionTerm(+1, 0, 1),
+        ExpressionTerm(-1, 3, 4),
+        ExpressionTerm(+1, 6, 7),
+        ExpressionTerm(-1, 9, 2),
+        ExpressionTerm(+1, 11, 10),
+    )
+    assert peak_bytes(terms, (12, 12, 0)) < 1 * MB
+
+
+def test_bound_reading_every_phase_of_8x8x8_stays_within_6_mb():
+    terms = tuple(
+        ExpressionTerm(+1 if (a + b) % 3 else -1, a, b, (3 * a + b) % 8)
+        for a in range(8)
+        for b in range(8)
+    )
+    assert {t.c_index for t in terms} == set(range(8))
+    assert peak_bytes(terms, (8, 8, 8)) <= 6 * MB

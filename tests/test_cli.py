@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -137,3 +139,36 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"no-such-flag": 1}))
     assert run_cli("exp1", "--config", str(config)).returncode == 1
+
+
+@pytest.mark.parametrize("seed", ["1", "3"])
+def test_single_trial_report_has_no_error_estimate_not_an_exact_verdict(tmp_path, seed):
+    # every correlation comes out +-1, so the counting sigma is 0
+    out = tmp_path / "report.json"
+    result = run_cli("exp2", "--trials", "1", "--seed", seed, "--out", str(out))
+    assert result.returncode == 0
+    assert "exact" not in result.stdout
+    payload = json.loads(out.read_text())
+    assert payload["derived"]["inequality_sigma"] == 0.0
+    assert payload["derived"]["significance"] is None
+    summary = payload["verdict"]["summary"]
+    assert "no error estimate" in summary
+    assert "more trials are needed" in summary
+    assert f"verdict: {summary}\n" in result.stdout
+
+
+def test_replayed_zero_sigma_stays_exact(tmp_path):
+    values = tmp_path / "values.csv"
+    values.write_text(
+        "phi_a,phi_b,phi_c,E,sigma\n"
+        "0.25,0,,0.9,0\n"
+        "0.25,0.5,,0.9,0\n"
+        "-0.25,0.5,,0.9,0\n"
+        "-0.25,0,,-0.9,0\n"
+    )
+    out = tmp_path / "replay.json"
+    result = run_cli("replay", str(values), "--out", str(out))
+    assert result.returncode == 0
+    payload = json.loads(out.read_text())
+    assert payload["derived"]["significance"] is None
+    assert "(exact, zero statistical uncertainty)" in payload["verdict"]["summary"]
