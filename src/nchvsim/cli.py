@@ -13,8 +13,9 @@ import sys
 
 from .errors import SimulationError
 from .montecarlo import NoiseModel
-from .nchv import PhaseGrid, chsh_expression, classical_bound, mermin_expression
 from .reports import (
+    EXPRESSIONS,
+    TESTS,
     RunConfig,
     render_report_text,
     replay,
@@ -77,7 +78,8 @@ def _add_noise_flags(parser: argparse.ArgumentParser):
                         help=f"generator seed (default {DEFAULT_SEED})")
 
 
-def _add_inequality_phase_flags(parser: argparse.ArgumentParser, a: float, ap: float):
+def _add_inequality_phase_flags(parser: argparse.ArgumentParser, experiment: str):
+    a, ap = TESTS[experiment].ideal
     parser.add_argument("--phi-a", type=float, default=a,
                         help=f"first beam-splitter phase, units of pi (default {a})")
     parser.add_argument("--phi-a-prime", type=float, default=ap,
@@ -109,24 +111,24 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     exp1 = sub.add_parser("exp1", help="run the three-analyzer inequality report")
     _add_noise_flags(exp1)
-    _add_inequality_phase_flags(exp1, 0.5, 0.0)
+    _add_inequality_phase_flags(exp1, "exp1")
     exp1.add_argument("--out", help="JSON report path")
     exp1.add_argument("--config", help="JSON file with defaults for these flags")
 
     exp2 = sub.add_parser("exp2", help="run the event-ready CHSH report")
     _add_noise_flags(exp2)
-    _add_inequality_phase_flags(exp2, 0.25, -0.25)
+    _add_inequality_phase_flags(exp2, "exp2")
     exp2.add_argument("--out", help="JSON report path")
     exp2.add_argument("--config", help="JSON file with defaults for these flags")
 
     bound = sub.add_parser("nchv-bound", help="enumerate a classical bound")
-    bound.add_argument("--expression", choices=("chsh", "mermin"), required=True)
+    bound.add_argument("--expression", choices=sorted(EXPRESSIONS), required=True)
     bound.add_argument("--out", help="JSON output path")
 
     threshold = sub.add_parser(
         "threshold", help="minimum visibility that still violates the bound"
     )
-    threshold.add_argument("--expression", choices=("chsh", "mermin"), required=True)
+    threshold.add_argument("--expression", choices=sorted(EXPRESSIONS), required=True)
     threshold.add_argument("--resolution", type=float, default=1e-4,
                            help="visibility scan step (default 1e-4)")
     threshold.add_argument("--out", help="JSON output path")
@@ -210,13 +212,8 @@ def _noise_from_args(args) -> NoiseModel:
 
 def _run_scan(args) -> int:
     phi_c = args.phi_c
-    if args.experiment == "exp1" and phi_c is None:
-        phi_c = (0.0,)
-    if args.experiment == "exp2":
-        if phi_c is not None:
-            raise SimulationError("exp2 scans carry no phi_c values")
-        phi_c = ()
-    sweep = args.sweep if isinstance(args.sweep, tuple) else _sweep(args.sweep)
+    if phi_c is None:
+        phi_c = (0.0,) if args.experiment == "exp1" else ()
     config = RunConfig(
         experiment=args.experiment,
         noise=_noise_from_args(args),
@@ -225,7 +222,7 @@ def _run_scan(args) -> int:
         phi_a=0.0,
         phi_b_values=args.phi_b,
         phi_c_values=phi_c,
-        sweep=sweep,
+        sweep=args.sweep,
     )
     rows = scan_phase(config)
     if args.out:
@@ -236,42 +233,42 @@ def _run_scan(args) -> int:
     return 0
 
 
-def _run_report(args, experiment: str) -> int:
-    config = RunConfig(
-        experiment=experiment,
-        noise=_noise_from_args(args),
-        trials_per_setting=args.trials,
-        seed=args.seed,
-        phi_a=args.phi_a * math.pi,
-        phi_a_prime=args.phi_a_prime * math.pi,
-    )
-    report = run_exp1_report(config) if experiment == "exp1" else run_exp2_report(config)
+def _run_report(args) -> int:
+    if args.command == "replay":
+        report = replay(args.values_file)
+    else:
+        config = RunConfig(
+            experiment=args.command,
+            noise=_noise_from_args(args),
+            trials_per_setting=args.trials,
+            seed=args.seed,
+            phi_a=args.phi_a * math.pi,
+            phi_a_prime=args.phi_a_prime * math.pi,
+        )
+        run = run_exp1_report if args.command == "exp1" else run_exp2_report
+        report = run(config)
     if args.out:
         write_report_json(report, args.out)
     sys.stdout.write(render_report_text(report))
     return 0
 
 
+def _write_json(payload: dict, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _run_bound(args) -> int:
-    if args.expression == "chsh":
-        grid = PhaseGrid((0.0, math.pi / 2.0), (0.0, math.pi / 2.0))
-        expression = chsh_expression()
-    else:
-        grid = PhaseGrid(
-            (0.0, math.pi / 2.0), (0.0, math.pi / 2.0), (0.0, math.pi / 2.0)
-        )
-        expression = mermin_expression()
-    limit = classical_bound(expression, grid)
+    test = EXPRESSIONS[args.expression]
     payload = {
         "expression": args.expression,
-        "classical_bound": limit,
-        "assignments_enumerated": 2 ** grid.total_bits(),
+        "classical_bound": test.bound,
+        "assignments_enumerated": 2 ** test.grid.total_bits(),
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _write_json(payload, args.out)
     print(
-        f"{args.expression}: classical bound {limit:g} "
+        f"{args.expression}: classical bound {test.bound:g} "
         f"({payload['assignments_enumerated']} assignments enumerated)"
     )
     return 0
@@ -280,8 +277,7 @@ def _run_bound(args) -> int:
 def _run_threshold(args) -> int:
     result = threshold_study(args.expression, args.resolution)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        _write_json(result, args.out)
     print(
         f"{result['expression']}: violation requires visibility > "
         f"{result['threshold_visibility']:.4f} "
@@ -292,14 +288,6 @@ def _run_threshold(args) -> int:
         "quoted detection-efficiency threshold at unit visibility: "
         f"{result['efficiency_threshold_quoted']:.6f}"
     )
-    return 0
-
-
-def _run_replay(args) -> int:
-    report = replay(args.values_file)
-    if args.out:
-        write_report_json(report, args.out)
-    sys.stdout.write(render_report_text(report))
     return 0
 
 
@@ -330,11 +318,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handlers = {
         "scan": _run_scan,
-        "exp1": lambda a: _run_report(a, "exp1"),
-        "exp2": lambda a: _run_report(a, "exp2"),
+        "exp1": _run_report,
+        "exp2": _run_report,
         "nchv-bound": _run_bound,
         "threshold": _run_threshold,
-        "replay": _run_replay,
+        "replay": _run_report,
     }
     try:
         return handlers[args.command](args)

@@ -25,10 +25,6 @@ MAX_ENUMERATION_BITS = 24
 # class.  Quoted constant; no derivation is implemented here.
 DETECTION_EFFICIENCY_THRESHOLD = math.sqrt(2.0) / 2.0
 
-# Inputs to inequality combinations may overshoot +-1 by at most this much
-# (measured correlations carry statistical noise); nothing is clamped.
-CORRELATION_SLACK = 0.05
-
 _OBSERVABLES = ("a", "b", "c")
 
 
@@ -310,25 +306,32 @@ def classical_bound(
     return float(acc.sum(axis=1).max())
 
 
-def _check_correlation_input(name: str, value: float):
-    if not math.isfinite(value) or abs(value) > 1.0 + CORRELATION_SLACK:
-        raise ValidationError(
-            f"{name} must lie within [-1.05, 1.05], got {value!r}"
-        )
+def expression_value(
+    expression: tuple[ExpressionTerm, ...] | list[ExpressionTerm], values
+) -> float:
+    """Signed sum of one correlation per term, ``values[k]`` for term k.
+
+    Summed in expression order from the first signed term, so the result is
+    the same float as writing the expression out by hand."""
+    if len(values) != len(expression) or not expression:
+        raise ValidationError("one correlation per expression term required")
+    for k, value in enumerate(values, start=1):
+        if not math.isfinite(value) or abs(value) > 1.0:
+            raise ValidationError(f"e{k} must lie within [-1, 1], got {value!r}")
+    total = expression[0].sign * values[0]
+    for term, value in zip(expression[1:], values[1:]):
+        total += term.sign * value
+    return total
 
 
 def chsh_value(e1: float, e2: float, e3: float, e4: float) -> float:
     """E(a,b0) + E(a,b1) + E(a',b1) - E(a',b0)."""
-    for name, value in zip(("e1", "e2", "e3", "e4"), (e1, e2, e3, e4)):
-        _check_correlation_input(name, value)
-    return e1 + e2 + e3 - e4
+    return expression_value(chsh_expression(), (e1, e2, e3, e4))
 
 
 def mermin_value(e1: float, e2: float, e3: float, e4: float) -> float:
     """E(a,b1,c1) - E(a,b0,c0) - E(a',b1,c0) - E(a',b0,c1)."""
-    for name, value in zip(("e1", "e2", "e3", "e4"), (e1, e2, e3, e4)):
-        _check_correlation_input(name, value)
-    return e1 - e2 - e3 - e4
+    return expression_value(mermin_expression(), (e1, e2, e3, e4))
 
 
 def nchv_lower_bound(

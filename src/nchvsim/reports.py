@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,13 +28,13 @@ from .montecarlo import (
     sample_counts,
 )
 from .nchv import (
+    DETECTION_EFFICIENCY_THRESHOLD,
+    ExpressionTerm,
     PhaseGrid,
     chsh_expression,
-    chsh_value,
     classical_bound,
-    DETECTION_EFFICIENCY_THRESHOLD,
+    expression_value,
     mermin_expression,
-    mermin_value,
     nchv_lower_bound,
 )
 
@@ -44,7 +44,51 @@ REPLAY_CSV_HEADER = ("phi_a", "phi_b", "phi_c", "E", "sigma")
 QUANTUM_MAX_CHSH = 2.0 * math.sqrt(2.0)
 QUANTUM_MAX_MERMIN = 4.0
 
+# A simulated report gets a Gaussian significance only if every setting has
+# at least this many coincidences of each product sign (the usual np >= 5
+# condition for the normal approximation).
+MIN_SIGN_COUNT = 5
+
 _HALF = 0.5  # inequality settings in units of pi: 0 and pi/2
+
+
+@dataclass(frozen=True)
+class InequalityTest:
+    """One test, read off its inequality expression.
+
+    Report setting i measures ``terms[order[i]]``, at the term's grid
+    indices on (phi_a, phi_a') x (0, pi/2) [x (0, pi/2)].  ``ideal`` is the
+    (phi_a, phi_a') of the quantum maximum, in units of pi.  The classical
+    bound depends only on which phases the terms read, so it is enumerated
+    once, on ``grid``, which has (0, pi/2) for every analyzer."""
+
+    expression: str
+    label: str
+    terms: tuple[ExpressionTerm, ...]
+    order: tuple[int, ...]
+    quantum_maximum: float
+    ideal: tuple[float, float]
+    grid: PhaseGrid = field(init=False)
+    bound: float = field(init=False)
+
+    def __post_init__(self):
+        analyzers = 2 if self.terms[0].c_index is None else 3
+        grid = PhaseGrid(*[(0.0, _HALF * math.pi)] * analyzers)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "bound", classical_bound(self.terms, grid))
+
+
+TESTS = {
+    "exp1": InequalityTest(
+        "mermin", "three-analyzer", mermin_expression(), (1, 2, 3, 0),
+        QUANTUM_MAX_MERMIN, (0.5, 0.0),
+    ),
+    "exp2": InequalityTest(
+        "chsh", "event-ready", chsh_expression(), (0, 1, 2, 3),
+        QUANTUM_MAX_CHSH, (0.25, -0.25),
+    ),
+}
+EXPRESSIONS = {test.expression: test for test in TESTS.values()}
 
 
 @dataclass(frozen=True)
@@ -214,58 +258,73 @@ def _estimate_entry(est: CorrelationEstimate, analytic: float | None) -> dict:
     return entry
 
 
-def _significance(value: float, bound: float, sigma: float) -> float | None:
-    if sigma <= 0.0:
-        return None
-    return (abs(value) - bound) / sigma
+def _report_terms(test: InequalityTest) -> list[ExpressionTerm]:
+    return [test.terms[k] for k in test.order]
 
 
-def _exp1_settings(phi_a: float, phi_a_prime: float) -> list[PhaseSetting]:
-    half_pi = math.pi / 2.0
-    return [
-        PhaseSetting(phi_a, 0.0, 0.0),
-        PhaseSetting(phi_a_prime, half_pi, 0.0),
-        PhaseSetting(phi_a_prime, 0.0, half_pi),
-        PhaseSetting(phi_a, half_pi, half_pi),
-    ]
+def _settings(test: InequalityTest, phi_a: float, phi_a_prime: float) -> list[PhaseSetting]:
+    """The report settings: each reads its term's phases off the test grid
+    with the beam-splitter phases (phi_a, phi_a') in place of its a phases."""
+    grid = replace(test.grid, a_phases=(phi_a, phi_a_prime))
+    settings = []
+    for term in _report_terms(test):
+        phi_c = None if term.c_index is None else grid.c_phases[term.c_index]
+        settings.append(
+            PhaseSetting(grid.a_phases[term.a_index], grid.b_phases[term.b_index], phi_c)
+        )
+    return settings
 
 
-def _exp1_derived(estimates: list[CorrelationEstimate]) -> tuple[dict, dict]:
-    e_ing = estimates[:3]
-    e_fourth = estimates[3]
-    bound, bound_sigma = nchv_lower_bound(
-        e_ing[0].value,
-        e_ing[1].value,
-        e_ing[2].value,
-        (e_ing[0].sigma, e_ing[1].sigma, e_ing[2].sigma),
+def _by_term(test: InequalityTest, per_setting: list) -> list:
+    """Reorder values given per report setting into expression order."""
+    by_term = dict(zip(test.order, per_setting))
+    return [by_term[k] for k in range(len(test.terms))]
+
+
+def _derive(test: InequalityTest, estimates: list, simulated: bool) -> tuple[dict, dict]:
+    """Derived quantities and verdict from the estimates of the report
+    settings, in report order.  Each estimate carries ``value`` and
+    ``sigma``; simulated ones also carry their event count ``n``."""
+    ordered = _by_term(test, estimates)
+    value = expression_value(test.terms, [e.value for e in ordered])
+    _, sigma = propagate_error(
+        [(e.value, e.sigma) for e in ordered], [term.sign for term in test.terms]
     )
-    m = mermin_value(e_fourth.value, e_ing[0].value, e_ing[1].value, e_ing[2].value)
-    _, m_sigma = propagate_error(
-        [(est.value, est.sigma) for est in [e_fourth] + e_ing], [+1, -1, -1, -1]
-    )
-    grid = PhaseGrid(
-        (estimates[0].setting.phi_a, estimates[1].setting.phi_a),
-        (0.0, math.pi / 2.0),
-        (0.0, math.pi / 2.0),
-    )
-    limit = classical_bound(mermin_expression(), grid)
-    significance = _significance(m, limit, m_sigma)
+    if simulated:
+        # n(1 - |E|)/2 events carry the rarer product sign; the count is an
+        # integer, so rounding only removes float error.
+        assessed = all(
+            round(e.n * (1.0 - abs(e.value)) / 2.0) >= MIN_SIGN_COUNT for e in estimates
+        )
+    else:
+        assessed = sigma > 0.0
+    significance = (abs(value) - test.bound) / sigma if assessed else None
     derived = {
-        "nchv_lower_bound": bound,
-        "nchv_lower_bound_sigma": bound_sigma,
-        "fourth_value": e_fourth.value,
-        "fourth_sigma": e_fourth.sigma,
-        "inequality_value": m,
-        "inequality_sigma": m_sigma,
-        "classical_bound": limit,
-        "quantum_maximum": QUANTUM_MAX_MERMIN,
+        "inequality_value": value,
+        "inequality_sigma": sigma,
+        "classical_bound": test.bound,
+        "quantum_maximum": test.quantum_maximum,
         "significance": significance,
     }
-    violated = abs(m) > limit
+    fourth = [e for term, e in zip(test.terms, ordered) if term.sign > 0]
+    if len(fourth) == 1:
+        # The -1 terms are the perfect-correlation settings; any NCHV model
+        # they constrain has a forced lower bound on the lone +1 term.
+        forcing = [e for term, e in zip(test.terms, ordered) if term.sign < 0]
+        bound, bound_sigma = nchv_lower_bound(
+            *(e.value for e in forcing), tuple(e.sigma for e in forcing)
+        )
+        derived.update(
+            nchv_lower_bound=bound,
+            nchv_lower_bound_sigma=bound_sigma,
+            fourth_value=fourth[0].value,
+            fourth_sigma=fourth[0].sigma,
+        )
+    violated = abs(value) > test.bound
     verdict = {
         "violated": violated,
         "summary": _verdict_summary(
-            "three-analyzer", m, limit, significance, violated, simulated=True
+            test.label, value, test.bound, significance, violated, simulated
         ),
     }
     return derived, verdict
@@ -277,16 +336,16 @@ def _verdict_summary(
     limit: float,
     significance: float | None,
     violated: bool,
-    simulated: bool = False,
+    simulated: bool,
 ) -> str:
     """One-line verdict.  A sigma of 0 is exact for replayed inputs that
-    declare it, but in a simulated run it only means too few trials."""
+    declare it; a simulated run without a significance had too few events."""
     if simulated and significance is None:
         relation = ">" if violated else "<="
         return (
             f"{label} inequality not assessed: |{value:.3f}| {relation} {limit:g} "
-            "with no error estimate (sigma is 0 at this number of trials); "
-            "more trials are needed"
+            f"with no error estimate (a setting has fewer than {MIN_SIGN_COUNT} "
+            "coincidences of one product sign); more trials are needed"
         )
     if not violated:
         return (
@@ -304,72 +363,31 @@ def _verdict_summary(
     )
 
 
-def run_exp1_report(config: RunConfig) -> Report:
-    """Simulate the four triple-coincidence settings and report the forced
-    lower bound against the measured fourth correlation."""
-    if config.experiment != "exp1":
-        raise ValidationError("run_exp1_report needs an exp1 configuration")
-    settings = _exp1_settings(config.phi_a, config.phi_a_prime)
+def _simulate_report(config: RunConfig) -> Report:
+    test = TESTS[config.experiment]
+    settings = _settings(test, config.phi_a, config.phi_a_prime)
     seeds = _setting_seeds(config.seed, len(settings))
     estimates = [_estimate(s, config, seed) for s, seed in zip(settings, seeds)]
     entries = [
         _estimate_entry(est, _analytic(est.setting, config.noise)) for est in estimates
     ]
-    derived, verdict = _exp1_derived(estimates)
+    derived, verdict = _derive(test, estimates, simulated=True)
     return Report(_config_echo(config), entries, derived, verdict)
 
 
-def _exp2_settings(phi_a: float, phi_a_prime: float) -> list[PhaseSetting]:
-    half_pi = math.pi / 2.0
-    return [
-        PhaseSetting(phi_a, 0.0),
-        PhaseSetting(phi_a, half_pi),
-        PhaseSetting(phi_a_prime, half_pi),
-        PhaseSetting(phi_a_prime, 0.0),
-    ]
-
-
-def _exp2_derived(estimates: list[CorrelationEstimate]) -> tuple[dict, dict]:
-    values = [est.value for est in estimates]
-    s = chsh_value(*values)
-    _, s_sigma = propagate_error(
-        [(est.value, est.sigma) for est in estimates], [+1, +1, +1, -1]
-    )
-    grid = PhaseGrid(
-        (estimates[0].setting.phi_a, estimates[2].setting.phi_a),
-        (0.0, math.pi / 2.0),
-    )
-    limit = classical_bound(chsh_expression(), grid)
-    significance = _significance(s, limit, s_sigma)
-    derived = {
-        "inequality_value": s,
-        "inequality_sigma": s_sigma,
-        "classical_bound": limit,
-        "quantum_maximum": QUANTUM_MAX_CHSH,
-        "significance": significance,
-    }
-    violated = abs(s) > limit
-    verdict = {
-        "violated": violated,
-        "summary": _verdict_summary(
-            "event-ready", s, limit, significance, violated, simulated=True
-        ),
-    }
-    return derived, verdict
+def run_exp1_report(config: RunConfig) -> Report:
+    """Simulate the four triple-coincidence settings and report the forced
+    lower bound against the measured fourth correlation."""
+    if config.experiment != "exp1":
+        raise ValidationError("run_exp1_report needs an exp1 configuration")
+    return _simulate_report(config)
 
 
 def run_exp2_report(config: RunConfig) -> Report:
     """Simulate the four event-ready settings and report the CHSH sum."""
     if config.experiment != "exp2":
         raise ValidationError("run_exp2_report needs an exp2 configuration")
-    settings = _exp2_settings(config.phi_a, config.phi_a_prime)
-    seeds = _setting_seeds(config.seed, len(settings))
-    estimates = [_estimate(s, config, seed) for s, seed in zip(settings, seeds)]
-    entries = [
-        _estimate_entry(est, _analytic(est.setting, config.noise)) for est in estimates
-    ]
-    derived, verdict = _exp2_derived(estimates)
-    return Report(_config_echo(config), entries, derived, verdict)
+    return _simulate_report(config)
 
 
 def _grid_threshold(amplitude: float, limit: float, resolution: float) -> float:
@@ -398,23 +416,15 @@ def threshold_study(expression: str, resolution: float = 1e-4) -> dict:
     quantum expression exceeds the enumerated classical bound."""
     if not 0.0 < resolution <= 0.1:
         raise ValidationError(f"resolution must be in (0, 0.1], got {resolution!r}")
-    half_pi = math.pi / 2.0
-    quarter_pi = math.pi / 4.0
-    if expression == "mermin":
-        ideal = correlations(_exp1_settings(half_pi, 0.0))
-        amplitude = abs(ideal[3] - ideal[0] - ideal[1] - ideal[2])
-        grid = PhaseGrid((half_pi, 0.0), (0.0, half_pi), (0.0, half_pi))
-        limit = classical_bound(mermin_expression(), grid)
-    elif expression == "chsh":
-        ideal = correlations(_exp2_settings(quarter_pi, -quarter_pi))
-        signs = [+1, +1, +1, -1]
-        amplitude = abs(sum(s * e for s, e in zip(signs, ideal)))
-        grid = PhaseGrid((quarter_pi, -quarter_pi), (0.0, half_pi))
-        limit = classical_bound(chsh_expression(), grid)
-    else:
+    test = EXPRESSIONS.get(expression)
+    if test is None:
         raise ValidationError(
             f"expression must be 'chsh' or 'mermin', got {expression!r}"
         )
+    phi_a, phi_a_prime = (phi * math.pi for phi in test.ideal)
+    ideal = correlations(_settings(test, phi_a, phi_a_prime))
+    amplitude = abs(expression_value(test.terms, _by_term(test, ideal)))
+    limit = test.bound
     if not amplitude > limit:
         raise SimulationError(
             f"{expression} expression never exceeds the classical bound"
@@ -451,42 +461,70 @@ class ReplayRow:
     sigma: float
 
 
+def _parse_phase(text: str, line_number: int, column: str) -> float:
+    value = _parse_float(text, line_number, column)
+    if not math.isfinite(value * math.pi):
+        raise FixtureParseError(
+            line_number, f"column {column!r}: {text!r} not finite in radians"
+        )
+    return value
+
+
 def load_replay_rows(path) -> list[ReplayRow]:
     """Parse a replay fixture.  Phases are in units of pi; phi_c is blank
     for event-ready rows."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FixtureParseError(1, "empty file; expected a header row") from None
-        if tuple(h.strip() for h in header) != REPLAY_CSV_HEADER:
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FixtureParseError(
+            data.count(b"\n", 0, exc.start) + 1, f"not UTF-8 text: {exc.reason}"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return _parse_records(reader)
+    except csv.Error as exc:
+        raise FixtureParseError(reader.line_num, f"unreadable CSV: {exc}") from None
+
+
+def _parse_records(reader) -> list[ReplayRow]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FixtureParseError(1, "empty file; expected a header row") from None
+    if tuple(h.strip() for h in header) != REPLAY_CSV_HEADER:
+        raise FixtureParseError(1, f"expected header {','.join(REPLAY_CSV_HEADER)!r}")
+    rows = []
+    for line_number, record in enumerate(reader, start=2):
+        if not record or all(not text.strip() for text in record):
+            continue
+        if len(record) != 5:
             raise FixtureParseError(
-                1, f"expected header {','.join(REPLAY_CSV_HEADER)!r}"
+                line_number, f"expected 5 columns, found {len(record)}"
             )
-        rows = []
-        for line_number, record in enumerate(reader, start=2):
-            if not record or all(not field.strip() for field in record):
-                continue
-            if len(record) != 5:
-                raise FixtureParseError(
-                    line_number, f"expected 5 columns, found {len(record)}"
-                )
-            phi_a = _parse_float(record[0], line_number, "phi_a")
-            phi_b = _parse_float(record[1], line_number, "phi_b")
-            phi_c_text = record[2].strip()
-            phi_c = (
-                None if phi_c_text == "" else _parse_float(record[2], line_number, "phi_c")
+        phi_a = _parse_phase(record[0], line_number, "phi_a")
+        phi_b = _parse_phase(record[1], line_number, "phi_b")
+        phi_c_text = record[2].strip()
+        phi_c = (
+            None if phi_c_text == "" else _parse_phase(record[2], line_number, "phi_c")
+        )
+        value = _parse_float(record[3], line_number, "E")
+        if not -1.0 <= value <= 1.0:
+            raise FixtureParseError(
+                line_number, f"column 'E': {value!r} outside [-1, 1]"
             )
-            value = _parse_float(record[3], line_number, "E")
-            if not -1.0 <= value <= 1.0:
-                raise FixtureParseError(
-                    line_number, f"column 'E': {value!r} outside [-1, 1]"
-                )
-            sigma = _parse_float(record[4], line_number, "sigma")
-            if sigma < 0.0:
-                raise FixtureParseError(line_number, "sigma must be >= 0")
-            rows.append(ReplayRow(line_number, phi_a, phi_b, phi_c, value, sigma))
+        sigma = _parse_float(record[4], line_number, "sigma")
+        if sigma < 0.0:
+            raise FixtureParseError(line_number, "sigma must be >= 0")
+        if sigma > 1.0:
+            # sqrt((1 - E^2) / n) <= 1 for a mean of n >= 1 outcomes +-1
+            raise FixtureParseError(
+                line_number,
+                f"column 'sigma': {sigma!r} above 1, the largest standard "
+                "error of a +-1 mean",
+            )
+        rows.append(ReplayRow(line_number, phi_a, phi_b, phi_c, value, sigma))
     if not rows:
         raise FixtureParseError(2, "no data rows")
     return rows
@@ -496,14 +534,17 @@ def _near(x: float, target: float) -> bool:
     return abs(x - target) <= 1e-9
 
 
-def _replay_exp1(rows: list[ReplayRow]) -> tuple[list[dict], dict, dict]:
+def _match_exp1(rows: list[ReplayRow]) -> list[ReplayRow]:
+    """Rows in report order, matched by their (phi_b, phi_c) pattern."""
+    patterns = [
+        (term.b_index * _HALF, term.c_index * _HALF) for term in _report_terms(TESTS["exp1"])
+    ]
     slots: dict[tuple[float, float], ReplayRow] = {}
     for row in rows:
-        key = None
-        for pattern in ((0.0, 0.0), (_HALF, 0.0), (0.0, _HALF), (_HALF, _HALF)):
-            if _near(row.phi_b, pattern[0]) and _near(row.phi_c, pattern[1]):
-                key = pattern
-                break
+        key = next(
+            (p for p in patterns if _near(row.phi_b, p[0]) and _near(row.phi_c, p[1])),
+            None,
+        )
         if key is None:
             raise FixtureParseError(
                 row.line_number,
@@ -519,38 +560,11 @@ def _replay_exp1(rows: list[ReplayRow]) -> tuple[list[dict], dict, dict]:
         raise FixtureParseError(
             rows[-1].line_number, f"expected four settings, found {len(slots)}"
         )
-    ing = [slots[(0.0, 0.0)], slots[(_HALF, 0.0)], slots[(0.0, _HALF)]]
-    fourth = slots[(_HALF, _HALF)]
-    bound, bound_sigma = nchv_lower_bound(
-        ing[0].value, ing[1].value, ing[2].value, tuple(r.sigma for r in ing)
-    )
-    m = mermin_value(fourth.value, ing[0].value, ing[1].value, ing[2].value)
-    _, m_sigma = propagate_error(
-        [(r.value, r.sigma) for r in [fourth] + ing], [+1, -1, -1, -1]
-    )
-    limit = 2.0
-    significance = _significance(m, limit, m_sigma)
-    entries = [_replay_entry(r) for r in ing + [fourth]]
-    derived = {
-        "nchv_lower_bound": bound,
-        "nchv_lower_bound_sigma": bound_sigma,
-        "fourth_value": fourth.value,
-        "fourth_sigma": fourth.sigma,
-        "inequality_value": m,
-        "inequality_sigma": m_sigma,
-        "classical_bound": limit,
-        "quantum_maximum": QUANTUM_MAX_MERMIN,
-        "significance": significance,
-    }
-    violated = abs(m) > limit
-    verdict = {
-        "violated": violated,
-        "summary": _verdict_summary("three-analyzer", m, limit, significance, violated),
-    }
-    return entries, derived, verdict
+    return [slots[pattern] for pattern in patterns]
 
 
-def _replay_exp2(rows: list[ReplayRow]) -> tuple[list[dict], dict, dict]:
+def _match_exp2(rows: list[ReplayRow]) -> list[ReplayRow]:
+    """Rows in report order; the first phi_a in the file is the CHSH a."""
     if len(rows) != 4:
         raise FixtureParseError(
             rows[-1].line_number, f"expected four rows, found {len(rows)}"
@@ -569,7 +583,7 @@ def _replay_exp2(rows: list[ReplayRow]) -> tuple[list[dict], dict, dict]:
             rows[-1].line_number,
             f"expected two distinct phi_a values, found {len(phi_a_values)}",
         )
-    first, second = phi_a_values
+    first, _ = phi_a_values
     slots: dict[tuple[int, float], ReplayRow] = {}
     for row in rows:
         which = 0 if _near(row.phi_a, first) else 1
@@ -580,27 +594,9 @@ def _replay_exp2(rows: list[ReplayRow]) -> tuple[list[dict], dict, dict]:
                 row.line_number, f"duplicate setting phi_a={row.phi_a}, phi_b={b}"
             )
         slots[key] = row
-    ordered = [slots[(0, 0.0)], slots[(0, _HALF)], slots[(1, _HALF)], slots[(1, 0.0)]]
-    s = chsh_value(*[r.value for r in ordered])
-    _, s_sigma = propagate_error(
-        [(r.value, r.sigma) for r in ordered], [+1, +1, +1, -1]
-    )
-    limit = 2.0
-    significance = _significance(s, limit, s_sigma)
-    entries = [_replay_entry(r) for r in ordered]
-    derived = {
-        "inequality_value": s,
-        "inequality_sigma": s_sigma,
-        "classical_bound": limit,
-        "quantum_maximum": QUANTUM_MAX_CHSH,
-        "significance": significance,
-    }
-    violated = abs(s) > limit
-    verdict = {
-        "violated": violated,
-        "summary": _verdict_summary("event-ready", s, limit, significance, violated),
-    }
-    return entries, derived, verdict
+    return [
+        slots[(term.a_index, term.b_index * _HALF)] for term in _report_terms(TESTS["exp2"])
+    ]
 
 
 def _replay_entry(row: ReplayRow) -> dict:
@@ -626,16 +622,16 @@ def replay(path) -> Report:
     rows = load_replay_rows(path)
     has_c = [row.phi_c is not None for row in rows]
     if all(has_c):
-        entries, derived, verdict = _replay_exp1(rows)
-        experiment = "exp1"
+        experiment, ordered = "exp1", _match_exp1(rows)
     elif not any(has_c):
-        entries, derived, verdict = _replay_exp2(rows)
-        experiment = "exp2"
+        experiment, ordered = "exp2", _match_exp2(rows)
     else:
         mixed = rows[has_c.index(not has_c[0])]
         raise FixtureParseError(
             mixed.line_number, "rows mix three-analyzer and event-ready settings"
         )
+    derived, verdict = _derive(TESTS[experiment], ordered, simulated=False)
+    entries = [_replay_entry(r) for r in ordered]
     config = {"mode": "replay", "experiment": experiment, "source": str(path)}
     return Report(config, entries, derived, verdict)
 

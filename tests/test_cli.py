@@ -172,3 +172,40 @@ def test_replayed_zero_sigma_stays_exact(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["derived"]["significance"] is None
     assert "(exact, zero statistical uncertainty)" in payload["verdict"]["summary"]
+
+
+@pytest.mark.parametrize("seed", ["3", "6"])
+def test_few_trial_report_gives_no_gaussian_significance(tmp_path, seed):
+    # sigma is small but not 0: most correlations come out +-1 from 5 trials
+    out = tmp_path / "report.json"
+    result = run_cli("exp2", "--trials", "5", "--seed", seed, "--out", str(out))
+    assert result.returncode == 0
+    assert "standard deviations" not in result.stdout
+    payload = json.loads(out.read_text())
+    assert payload["derived"]["inequality_sigma"] > 0.0
+    assert payload["derived"]["significance"] is None
+    summary = payload["verdict"]["summary"]
+    assert "no error estimate" in summary
+    assert "more trials are needed" in summary
+    assert f"verdict: {summary}\n" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"phi_a,phi_b,phi_c,E,sigma\n0.46,0,0,0.885,0.005\n0.01,\xff,0,0.9,0.1\n", 3),
+        (b"phi_a,phi_b,phi_c,E,sigma\n" + b"1" * 140000 + b",0,0,0.9,0.1\n", 2),
+        (b"phi_a,phi_b,phi_c,E,sigma\n-0.72,0,,0.586,1e200\n", 2),
+        (b"phi_a,phi_b,phi_c,E,sigma\n-0.72,0,,0.586,0.008\n1e308,0.5,,0.705,0.008\n", 3),
+    ],
+    ids=["non-utf8", "huge-field", "huge-sigma", "huge-phase"],
+)
+def test_unusable_replay_input_exits_2_with_line_number(tmp_path, data, line):
+    values = tmp_path / "values.csv"
+    values.write_bytes(data)
+    out = tmp_path / "replay.json"
+    result = run_cli("replay", str(values), "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: line {line}: ")
+    assert "Traceback" not in result.stderr
+    assert not out.exists()

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nchvsim.errors import EnumerationLimitError, ValidationError
 from nchvsim.nchv import (
@@ -16,6 +18,7 @@ from nchvsim.nchv import (
     classical_bound,
     correlation_nchv2,
     correlation_nchv3,
+    expression_value,
     ghz_forcing,
     ghz_forcing_enumerated,
     mermin_expression,
@@ -233,12 +236,13 @@ def test_chsh_value_recovers_published_sum():
     assert chsh_value(1.0, 1.0, 1.0, -1.0) == 4.0
 
 
-def test_chsh_value_accepts_slack_but_not_more():
-    chsh_value(1.04, 0.0, 0.0, 0.0)
-    with pytest.raises(ValidationError):
-        chsh_value(1.06, 0.0, 0.0, 0.0)
-    with pytest.raises(ValidationError):
-        chsh_value(math.nan, 0.0, 0.0, 0.0)
+def test_chsh_value_accepts_unit_range_but_not_more():
+    assert chsh_value(1.0, 0.0, 0.0, -1.0) == 2.0
+    for outside in (math.nextafter(1.0, 2.0), 1.04, -1.04, 1.06, math.nan):
+        with pytest.raises(ValidationError):
+            chsh_value(outside, 0.0, 0.0, 0.0)
+        with pytest.raises(ValidationError):
+            mermin_value(0.0, 0.0, 0.0, outside)
 
 
 def test_mermin_value_cases():
@@ -277,3 +281,23 @@ def test_forced_product_contradicts_quantum_fourth_correlation():
 
 def test_quoted_efficiency_threshold_value():
     assert DETECTION_EFFICIENCY_THRESHOLD == pytest.approx(math.sqrt(2.0) / 2.0, abs=0.0)
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=st.tuples(_UNIT, _UNIT, _UNIT, _UNIT))
+def test_expression_value_is_the_hand_written_sum_bit_for_bit(e):
+    e1, e2, e3, e4 = e
+    assert expression_value(chsh_expression(), e).hex() == (e1 + e2 + e3 - e4).hex()
+    assert expression_value(mermin_expression(), e).hex() == (e1 - e2 - e3 - e4).hex()
+    assert chsh_value(*e) == e1 + e2 + e3 - e4
+    assert mermin_value(*e) == e1 - e2 - e3 - e4
+
+
+def test_expression_value_needs_one_value_per_term():
+    with pytest.raises(ValidationError):
+        expression_value(chsh_expression(), (0.1, 0.2, 0.3))
+    with pytest.raises(ValidationError):
+        expression_value((), ())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nchvsim.errors import FixtureParseError, ValidationError
+from nchvsim.errors import EstimationError, FixtureParseError, ValidationError
 from nchvsim.experiment import PhaseSetting, correlation_qm2, correlation_qm3
 from nchvsim.montecarlo import NoiseModel
 from nchvsim.nchv import (
@@ -474,3 +474,152 @@ def test_replay_rejects_correlations_outside_unit_interval(tmp_path, text):
         replay(path)
     assert excinfo.value.line_number == 3
     assert "outside [-1, 1]" in str(excinfo.value)
+
+
+_FIXTURE_ROWS = {
+    "exp1": (FIXTURES / "exp1_reference.csv").read_text().splitlines()[1:],
+    "exp2": (FIXTURES / "exp2_reference.csv").read_text().splitlines()[1:],
+}
+
+
+def _with_field(rows, row, column, text):
+    fields = rows[row].split(",")
+    fields[column] = text
+    return rows[:row] + [",".join(fields)] + rows[row + 1:]
+
+
+@pytest.mark.parametrize(
+    "experiment, row, column, text, message",
+    [
+        ("exp1", 1, 0, "1e308", "not finite in radians"),
+        ("exp2", 2, 1, "-1e308", "not finite in radians"),
+        ("exp1", 1, 4, "1e200", "above 1"),
+        ("exp2", 2, 4, "1.0000001", "above 1"),
+        ("exp1", 1, 0, "1" * 140000, "unreadable CSV"),
+    ],
+)
+def test_replay_rejects_unusable_fields_with_line_numbers(
+    tmp_path, experiment, row, column, text, message
+):
+    rows = _with_field(_FIXTURE_ROWS[experiment], row, column, text)
+    path = tmp_path / "values.csv"
+    path.write_text("phi_a,phi_b,phi_c,E,sigma\n" + "\n".join(rows) + "\n")
+    with pytest.raises(FixtureParseError) as excinfo:
+        replay(path)
+    assert excinfo.value.line_number == row + 2
+    assert message in str(excinfo.value)
+
+
+def test_replay_rejects_non_utf8_bytes_with_line_number(tmp_path):
+    path = tmp_path / "values.csv"
+    path.write_bytes(b"phi_a,phi_b,phi_c,E,sigma\n0.46,0,0,0.885,0.005\n0.01,\xff,0,0.9,0.1\n")
+    with pytest.raises(FixtureParseError) as excinfo:
+        replay(path)
+    assert excinfo.value.line_number == 3
+    assert "UTF-8" in str(excinfo.value)
+
+
+def test_replay_accepts_sigma_of_one(tmp_path):
+    rows = _with_field(_FIXTURE_ROWS["exp2"], 0, 4, "1")
+    path = tmp_path / "values.csv"
+    path.write_text("phi_a,phi_b,phi_c,E,sigma\n" + "\n".join(rows) + "\n")
+    assert replay(path).estimates[0]["sigma"] == 1.0
+
+
+_PHASE_TEXT = st.one_of(
+    st.sampled_from(["0", "0.5", "0.46", "0.01", "-0.72", "0.75", "", "1e308", "x"]),
+    st.floats().map(repr),
+)
+_NUMBER_TEXT = st.one_of(
+    st.floats(-1.2, 1.2).map(repr),
+    st.floats().map(repr),
+    st.sampled_from(["0", "1", "0.005", "", "nan"]),
+    st.text(max_size=4),
+)
+_ROW_TEXT = st.tuples(_PHASE_TEXT, _PHASE_TEXT, _PHASE_TEXT, _NUMBER_TEXT, _NUMBER_TEXT).map(
+    ",".join
+)
+_CSV_BYTES = st.lists(_ROW_TEXT, max_size=6).map(
+    lambda rows: ("phi_a,phi_b,phi_c,E,sigma\n" + "\n".join(rows) + "\n").encode()
+)
+_FIELD_TEXT = st.one_of(_PHASE_TEXT, _NUMBER_TEXT)
+# The fixtures in any row order, with up to three fields replaced.
+_FIXTURE_BYTES = st.tuples(
+    st.sampled_from(sorted(_FIXTURE_ROWS)).flatmap(
+        lambda name: st.permutations(_FIXTURE_ROWS[name])
+    ),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 4), _FIELD_TEXT), max_size=3
+    ),
+).map(
+    lambda parts: (
+        "phi_a,phi_b,phi_c,E,sigma\n"
+        + "\n".join(_edit(list(parts[0]), parts[1]))
+        + "\n"
+    ).encode()
+)
+
+
+def _edit(rows, edits):
+    for row, column, text in edits:
+        rows = _with_field(rows, row, column, text)
+    return rows
+
+
+# Edited fixtures, random rows, raw bytes, and either with raw bytes spliced in.
+_REPLAY_BYTES = st.one_of(
+    _FIXTURE_BYTES,
+    _CSV_BYTES,
+    st.binary(max_size=300),
+    st.tuples(
+        st.one_of(_FIXTURE_BYTES, _CSV_BYTES),
+        st.binary(min_size=1, max_size=8),
+        st.integers(0, 400),
+    ).map(
+        lambda parts: parts[0][: parts[2]] + parts[1] + parts[0][parts[2]:]
+    ),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_REPLAY_BYTES)
+def test_replay_of_arbitrary_bytes_reports_or_raises_parse_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("replay") / "values.csv"
+    path.write_bytes(data)
+    try:
+        report = replay(path)
+    except FixtureParseError:
+        return
+    json.loads(report_json_text(report))
+    render_report_text(report)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    experiment=st.sampled_from(["exp1", "exp2"]),
+    trials=st.integers(1, 60),
+    seed=st.integers(0, 2**31),
+)
+def test_simulated_significance_needs_five_events_of_each_sign(experiment, trials, seed):
+    config = RunConfig(
+        experiment=experiment,
+        noise=NoiseModel(visibility=0.95),
+        trials_per_setting=trials,
+        seed=seed,
+        phi_a=HALF_PI if experiment == "exp1" else math.pi / 4.0,
+        phi_a_prime=0.0 if experiment == "exp1" else -math.pi / 4.0,
+    )
+    try:
+        report = (run_exp1_report if experiment == "exp1" else run_exp2_report)(config)
+    except EstimationError:
+        return  # no A=+1 events at some exp1 setting
+    fewest = min(
+        round(e["n"] * (1.0 - abs(e["value"])) / 2.0) for e in report.estimates
+    )
+    significance = report.derived["significance"]
+    assert (significance is not None) == (fewest >= 5)
+    if significance is None:
+        assert "no error estimate" in report.verdict["summary"]
+        assert "more trials are needed" in report.verdict["summary"]
+    else:
+        assert "standard deviations" in report.verdict["summary"] or not report.verdict["violated"]
