@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -126,23 +127,22 @@ def sample_counts(
     """Simulate coincidence collection at one setting.
 
     Each emitted pair survives detection with probability ``efficiency``
-    (fair sampling); surviving events draw an outcome by inverse CDF over
-    the fixed outcome order.  Deterministic for a given seed."""
+    (fair sampling); each surviving event draws one uniform number, and the
+    outcomes, in their fixed order, are counted by thresholds on those
+    draws at the cumulative outcome probabilities.  Deterministic for a
+    given seed."""
     if trials <= 0:
         raise ValidationError(f"trials must be positive, got {trials!r}")
     outcomes = TRIPLE_OUTCOMES if setting.phi_c is not None else PAIR_OUTCOMES
-    probs = np.array([noisy_probability(o, setting, noise) for o in outcomes])
-    edges = np.cumsum(probs)
-    # Guard the top edge against cumulative rounding; the probabilities sum
-    # to 1 by construction.
-    edges[-1] = 1.0
+    # Cumulative sums of non-negative probabilities, added in np.cumsum's
+    # order.  Every draw is below 1, so the top edge is never needed.
+    edges = list(accumulate(noisy_probability(o, setting, noise) for o in outcomes))
     rng = np.random.default_rng(seed)
     detected = int(rng.binomial(trials, noise.efficiency))
     draws = rng.random(detected)
-    indices = np.searchsorted(edges, draws, side="right")
-    histogram = np.bincount(indices, minlength=len(outcomes))
-    counts = {o: int(n) for o, n in zip(outcomes, histogram)}
-    return CoincidenceCounts(setting, counts, trials, int(histogram.sum()))
+    below = [0] + [int(np.count_nonzero(draws < edge)) for edge in edges[:-1]] + [detected]
+    counts = {o: hi - lo for o, lo, hi in zip(outcomes, below, below[1:])}
+    return CoincidenceCounts(setting, counts, trials, detected)
 
 
 def estimate_correlation_exp1(counts: CoincidenceCounts) -> CorrelationEstimate:

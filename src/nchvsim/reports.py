@@ -281,21 +281,32 @@ def _by_term(test: InequalityTest, per_setting: list) -> list:
     return [by_term[k] for k in range(len(test.terms))]
 
 
-def _derive(test: InequalityTest, estimates: list, simulated: bool) -> tuple[dict, dict]:
+def _derive(
+    test: InequalityTest, estimates: list, analytic: list[float] | None
+) -> tuple[dict, dict]:
     """Derived quantities and verdict from the estimates of the report
     settings, in report order.  Each estimate carries ``value`` and
-    ``sigma``; simulated ones also carry their event count ``n``."""
+    ``sigma``; simulated ones also carry their event count ``n``, and
+    ``analytic`` holds their noise-model correlations.  ``analytic`` is
+    None for replayed estimates."""
     ordered = _by_term(test, estimates)
     value = expression_value(test.terms, [e.value for e in ordered])
     _, sigma = propagate_error(
         [(e.value, e.sigma) for e in ordered], [term.sign for term in test.terms]
     )
+    simulated = analytic is not None
+    deterministic = False
     if simulated:
         # n(1 - |E|)/2 events carry the rarer product sign; the count is an
         # integer, so rounding only removes float error.
-        assessed = all(
-            round(e.n * (1.0 - abs(e.value)) / 2.0) >= MIN_SIGN_COUNT for e in estimates
-        )
+        short = [
+            a for e, a in zip(estimates, analytic)
+            if round(e.n * (1.0 - abs(e.value)) / 2.0) < MIN_SIGN_COUNT
+        ]
+        assessed = not short
+        # |E| is exactly 1 only at unit effective visibility and
+        # |sin(phase sum)| = 1: such a setting never gives the other sign.
+        deterministic = bool(short) and all(abs(a) == 1.0 for a in short)
     else:
         assessed = sigma > 0.0
     significance = (abs(value) - test.bound) / sigma if assessed else None
@@ -324,7 +335,8 @@ def _derive(test: InequalityTest, estimates: list, simulated: bool) -> tuple[dic
     verdict = {
         "violated": violated,
         "summary": _verdict_summary(
-            test.label, value, test.bound, significance, violated, simulated
+            test.label, value, test.bound, significance, violated, simulated,
+            deterministic,
         ),
     }
     return derived, verdict
@@ -337,15 +349,22 @@ def _verdict_summary(
     significance: float | None,
     violated: bool,
     simulated: bool,
+    deterministic: bool,
 ) -> str:
     """One-line verdict.  A sigma of 0 is exact for replayed inputs that
-    declare it; a simulated run without a significance had too few events."""
+    declare it; a simulated run without a significance had too few events,
+    or, if ``deterministic``, settings whose outcomes never vary."""
     if simulated and significance is None:
         relation = ">" if violated else "<="
+        cause = (
+            "the outcomes are deterministic at these settings (analytic |E| = 1)"
+            if deterministic
+            else "more trials are needed"
+        )
         return (
             f"{label} inequality not assessed: |{value:.3f}| {relation} {limit:g} "
             f"with no error estimate (a setting has fewer than {MIN_SIGN_COUNT} "
-            "coincidences of one product sign); more trials are needed"
+            f"coincidences of one product sign); {cause}"
         )
     if not violated:
         return (
@@ -368,10 +387,9 @@ def _simulate_report(config: RunConfig) -> Report:
     settings = _settings(test, config.phi_a, config.phi_a_prime)
     seeds = _setting_seeds(config.seed, len(settings))
     estimates = [_estimate(s, config, seed) for s, seed in zip(settings, seeds)]
-    entries = [
-        _estimate_entry(est, _analytic(est.setting, config.noise)) for est in estimates
-    ]
-    derived, verdict = _derive(test, estimates, simulated=True)
+    analytic = [_analytic(est.setting, config.noise) for est in estimates]
+    entries = [_estimate_entry(est, a) for est, a in zip(estimates, analytic)]
+    derived, verdict = _derive(test, estimates, analytic)
     return Report(_config_echo(config), entries, derived, verdict)
 
 
@@ -496,7 +514,12 @@ def _parse_records(reader) -> list[ReplayRow]:
     if tuple(h.strip() for h in header) != REPLAY_CSV_HEADER:
         raise FixtureParseError(1, f"expected header {','.join(REPLAY_CSV_HEADER)!r}")
     rows = []
-    for line_number, record in enumerate(reader, start=2):
+    while True:
+        # A quoted field may span lines: number each record by its first.
+        line_number = reader.line_num + 1
+        record = next(reader, None)
+        if record is None:
+            break
         if not record or all(not text.strip() for text in record):
             continue
         if len(record) != 5:
@@ -630,7 +653,7 @@ def replay(path) -> Report:
         raise FixtureParseError(
             mixed.line_number, "rows mix three-analyzer and event-ready settings"
         )
-    derived, verdict = _derive(TESTS[experiment], ordered, simulated=False)
+    derived, verdict = _derive(TESTS[experiment], ordered, analytic=None)
     entries = [_replay_entry(r) for r in ordered]
     config = {"mode": "replay", "experiment": experiment, "source": str(path)}
     return Report(config, entries, derived, verdict)

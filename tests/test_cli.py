@@ -190,6 +190,21 @@ def test_few_trial_report_gives_no_gaussian_significance(tmp_path, seed):
     assert f"verdict: {summary}\n" in result.stdout
 
 
+def test_unit_visibility_exp1_says_outcomes_are_deterministic(tmp_path):
+    # every analytic correlation is +-1, so no trial count gives 5 events of
+    # each product sign and more trials cannot help
+    out = tmp_path / "report.json"
+    result = run_cli("exp1", "--trials", "10000", "--seed", "1", "--out", str(out))
+    assert result.returncode == 0
+    payload = json.loads(out.read_text())
+    assert payload["derived"]["significance"] is None
+    summary = payload["verdict"]["summary"]
+    assert "no error estimate" in summary
+    assert "the outcomes are deterministic at these settings" in summary
+    assert "more trials" not in summary
+    assert f"verdict: {summary}\n" in result.stdout
+
+
 @pytest.mark.parametrize(
     "data, line",
     [

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nchvsim.errors import EstimationError, ValidationError
 from nchvsim.experiment import (
@@ -253,3 +256,65 @@ def test_counting_sigma_formula():
     assert counting_sigma(0.885, 5000) == pytest.approx(
         math.sqrt((1.0 - 0.885**2) / 5000.0), abs=1e-15
     )
+
+
+def _binary_search_counts(setting, noise, trials, seed):
+    """Reference sampler: one searchsorted index per draw, then a bincount
+    over the outcome order, on the same random stream."""
+    outcomes = TRIPLE_OUTCOMES if setting.phi_c is not None else PAIR_OUTCOMES
+    edges = np.cumsum([noisy_probability(o, setting, noise) for o in outcomes])
+    edges[-1] = 1.0
+    rng = np.random.default_rng(seed)
+    detected = int(rng.binomial(trials, noise.efficiency))
+    indices = np.searchsorted(edges, rng.random(detected), side="right")
+    histogram = np.bincount(indices, minlength=len(outcomes))
+    return [int(n) for n in histogram], detected
+
+
+_PHASES = st.one_of(
+    st.integers(-8, 8).map(lambda k: k * HALF_PI),
+    st.floats(-4.0 * math.pi, 4.0 * math.pi),
+)
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    phases=st.tuples(_PHASES, _PHASES, _PHASES),
+    triple=st.booleans(),
+    visibility=_UNIT,
+    background=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+    efficiency=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    trials=st.one_of(st.integers(1, 50), st.integers(1, 200_000)),
+    seed=st.integers(0, 2**128),
+)
+def test_sample_counts_equals_binary_search_route(
+    phases, triple, visibility, background, efficiency, trials, seed
+):
+    setting = PhaseSetting(*phases) if triple else PhaseSetting(*phases[:2])
+    noise = NoiseModel(visibility, efficiency, background)
+    counts = sample_counts(setting, noise, trials, seed)
+    histogram, detected = _binary_search_counts(setting, noise, trials, seed)
+    assert [counts.counts[o] for o in counts.outcomes()] == histogram
+    assert counts.detected == detected
+    assert sum(counts.counts.values()) == counts.detected
+    estimator = estimate_correlation_exp1 if triple else estimate_correlation_exp2
+    try:
+        estimate = estimator(counts)
+    except EstimationError:
+        return  # no usable coincidences at this setting
+    assert -1.0 <= estimate.value <= 1.0
+
+
+def test_sample_counts_peak_memory_stays_below_ten_bytes_per_trial():
+    # the uniform draws (8 B each) and one boolean mask (1 B each)
+    setting = PhaseSetting(0.3, 0.1, -0.4)
+    trials = 100_000
+    sample_counts(setting, NoiseModel(), trials, seed=1)
+    tracemalloc.start()
+    try:
+        sample_counts(setting, NoiseModel(), trials, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.5 * trials

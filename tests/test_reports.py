@@ -362,6 +362,41 @@ def test_replay_parse_errors_carry_line_numbers(tmp_path):
     assert excinfo.value.line_number == 2
 
 
+def test_replay_errors_name_physical_lines_after_a_multiline_field(tmp_path):
+    path = tmp_path / "values.csv"
+    path.write_text(
+        'phi_a,phi_b,phi_c,E,sigma\n"0.46\n",0,0,0.885,0.005\noops,0,0,0.9,0.1\n'
+    )
+    with pytest.raises(FixtureParseError) as excinfo:
+        replay(path)
+    assert excinfo.value.line_number == 4
+    assert "line 4" in str(excinfo.value)
+
+    path.write_text('phi_a,phi_b,phi_c,E,sigma\n"0.46\n",0,0,oops,0.005\n')
+    with pytest.raises(FixtureParseError) as excinfo:
+        replay(path)
+    assert excinfo.value.line_number == 2
+
+
+@pytest.mark.parametrize(
+    "trials, cause",
+    [(3, "more trials are needed"), (20000, "the outcomes are deterministic")],
+)
+def test_unassessed_summary_blames_only_unit_correlation_settings(trials, cause):
+    # at unit visibility, phi_a = 0.3 leaves two settings at |E| = 1 and
+    # two below it; only the latter can reach 5 events of each sign
+    config = RunConfig(
+        experiment="exp1",
+        noise=NoiseModel(),
+        trials_per_setting=trials,
+        seed=4,
+        phi_a=0.3,
+    )
+    report = run_exp1_report(config)
+    assert report.derived["significance"] is None
+    assert cause in report.verdict["summary"]
+
+
 def test_threshold_study_values():
     mermin = threshold_study("mermin", 1e-4)
     chsh = threshold_study("chsh", 1e-4)
