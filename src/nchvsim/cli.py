@@ -7,6 +7,7 @@ success, 1 on usage errors, 2 on computation or validation errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -86,7 +87,11 @@ def _add_inequality_phase_flags(parser: argparse.ArgumentParser, experiment: str
                         help=f"second beam-splitter phase, units of pi (default {ap})")
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subparsers, built on first use and shared by every
+    later call in the process; callers must leave its defaults as they found
+    them."""
     parser = _Parser(
         prog="nchvsim",
         description=(
@@ -166,12 +171,17 @@ def _apply_config_file(
     parser: argparse.ArgumentParser,
     subparsers: dict[str, argparse.ArgumentParser],
     argv: list[str],
-) -> None:
-    """Let a JSON config file supply defaults on the active subcommand;
-    explicit flags still win because argparse applies them after defaults."""
+) -> tuple[argparse.ArgumentParser, dict]:
+    """Read a JSON config file into defaults for the active subcommand.
+
+    Returns the subparser and its converted defaults, or the top-level
+    parser and no defaults when no ``--config`` is given.  Each value goes
+    through its flag's own argparse ``type`` as ``str(value)``, so a config
+    file obeys the rules of the command line.  Explicit flags still win
+    because argparse applies them after defaults."""
     path = _config_path(argv)
     if path is None:
-        return
+        return parser, {}
     if path == "":
         parser.error("--config needs a file path")
     command = next((token for token in argv if token in subparsers), None)
@@ -187,23 +197,20 @@ def _apply_config_file(
     if not isinstance(values, dict):
         parser.error("config file must hold a JSON object")
     target = subparsers[command]
-    known = {action.dest for action in target._actions}
-    converted = {}
+    actions = {action.dest: action for action in target._actions}
+    defaults = {}
     for key, value in values.items():
         name = key.replace("-", "_")
-        if name not in known or name in ("help", "config"):
+        if name not in actions or name in ("help", "config"):
             parser.error(f"config key {key!r} is not a flag of {command!r}")
-        try:
-            if name in ("phi_b", "phi_c"):
-                value = _phase_list(str(value))
-            elif name in ("phi_a", "phi_a_prime"):
-                value = float(value)
-            elif name == "sweep":
-                value = _sweep(str(value))
-        except (argparse.ArgumentTypeError, ValueError) as exc:
-            parser.error(f"config key {key!r}: {exc}")
-        converted[name] = value
-    target.set_defaults(**converted)
+        convert = actions[name].type
+        if convert is not None:
+            try:
+                value = convert(str(value))
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                parser.error(f"config key {key!r}: {exc}")
+        defaults[name] = value
+    return target, defaults
 
 
 def _noise_from_args(args) -> NoiseModel:
@@ -314,8 +321,13 @@ def _merge_flag_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = _merge_flag_values(list(sys.argv[1:] if argv is None else argv))
     parser, subparsers = build_parser()
-    _apply_config_file(parser, subparsers, argv)
-    args = parser.parse_args(argv)
+    target, defaults = _apply_config_file(parser, subparsers, argv)
+    saved = {name: target.get_default(name) for name in defaults}
+    target.set_defaults(**defaults)
+    try:
+        args = parser.parse_args(argv)
+    finally:
+        target.set_defaults(**saved)
     handlers = {
         "scan": _run_scan,
         "exp1": _run_report,

@@ -110,6 +110,10 @@ class RunConfig:
             raise ValidationError(
                 f"experiment must be 'exp1' or 'exp2', got {self.experiment!r}"
             )
+        for name in ("trials_per_setting", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.trials_per_setting <= 0:
             raise ValidationError("trials_per_setting must be positive")
         if self.seed < 0:

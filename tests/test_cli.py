@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from nchvsim import cli
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -139,6 +141,58 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"no-such-flag": 1}))
     assert run_cli("exp1", "--config", str(config)).returncode == 1
+
+
+@pytest.mark.parametrize(
+    "values, key",
+    [
+        ({"trials": 1.5}, "trials"),
+        ({"visibility": True}, "visibility"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": 1e30}, "seed"),
+    ],
+    ids=["float-trials", "bool-visibility", "float-seed", "huge-float-seed"],
+)
+def test_config_values_pass_the_flags_own_type_checks(tmp_path, values, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(values))
+    result = run_cli("exp2", "--config", str(config))
+    assert result.returncode == 1
+    assert f"error: config key '{key}': " in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def _parser_defaults(parsers):
+    return [
+        {action.dest: parser.get_default(action.dest) for action in parser._actions}
+        for parser in parsers
+    ]
+
+
+def test_shared_parser_keeps_no_config_defaults_between_calls(tmp_path, capsys, monkeypatch):
+    # usage text wraps at the terminal width; pin it for both processes
+    monkeypatch.setenv("COLUMNS", "80")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"visibility": 0.885, "trials": 4000, "seed": 17}))
+    with_config = ["exp1", "--config", str(config)]
+    calls = [["exp1"], with_config, ["exp1"], with_config + ["--trials", "x"], ["exp1"]]
+    parser, subparsers = cli.build_parser()
+    again = cli.build_parser()
+    assert again[0] is parser and again[1] is subparsers
+    parsers = [parser, *subparsers.values()]
+    before = _parser_defaults(parsers)
+    for argv in calls:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (code, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), argv
+        assert _parser_defaults(parsers) == before, argv
+    assert code == 0 and "visibility=1" in captured.out
 
 
 @pytest.mark.parametrize("seed", ["1", "3"])

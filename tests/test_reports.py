@@ -275,6 +275,24 @@ def test_wrong_experiment_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("trials_per_setting", 1.5),
+        ("trials_per_setting", True),
+        ("trials_per_setting", "10"),
+        ("trials_per_setting", 0),
+        ("seed", 1.5),
+        ("seed", 1e30),
+        ("seed", False),
+        ("seed", -1),
+    ],
+)
+def test_run_config_rejects_non_integer_trials_and_seed(field, value):
+    with pytest.raises(ValidationError):
+        exp1_config(**{field: value})
+
+
 def test_replay_exp1_reference_values():
     report = replay(FIXTURES / "exp1_reference.csv")
     derived = report.derived
