@@ -21,9 +21,7 @@ from .experiment import (
     eventready_state,
     joint_probability,
     joint_probability_closed_form,
-    prepare_initial,
 )
-from .hilbert import StateVector, TensorSpace, inner, probability, tensor
 from .montecarlo import (
     CoincidenceCounts,
     CorrelationEstimate,

@@ -176,8 +176,9 @@ def _apply_config_file(
 
     Returns the subparser and its converted defaults, or the top-level
     parser and no defaults when no ``--config`` is given.  Each value goes
-    through its flag's own argparse ``type`` as ``str(value)``, so a config
-    file obeys the rules of the command line.  Explicit flags still win
+    through its flag's own argparse ``type`` as ``str(value)``, and a flag
+    without a ``type`` takes only a JSON string, so a config file obeys the
+    rules of the command line.  Explicit flags still win
     because argparse applies them after defaults."""
     path = _config_path(argv)
     if path is None:
@@ -204,7 +205,10 @@ def _apply_config_file(
         if name not in actions or name in ("help", "config"):
             parser.error(f"config key {key!r} is not a flag of {command!r}")
         convert = actions[name].type
-        if convert is not None:
+        if convert is None:
+            if not isinstance(value, str):
+                parser.error(f"config key {key!r}: expected a JSON string, got {value!r}")
+        else:
             try:
                 value = convert(str(value))
             except (argparse.ArgumentTypeError, ValueError) as exc:

@@ -20,42 +20,24 @@ photon 1 onto a maximally entangled state of its polarization and path
 analyzers gives ``E(A,B) = sin(phi_a + phi_b)``.
 
 Every probability here is computed by projecting the state onto analyzer
-eigenstates.  The labelled states below define the physics; the projection
-itself runs on fixed dense arrays derived from them once, with one
-``einsum`` giving all 2**k outcome probabilities of N settings.
-Closed-form counterparts are provided separately so tests can confront the
-two routes.
+eigenstates.  The states and the analyzer bras are written out below as
+literal arrays, with their derivation in comments; one ``einsum`` over
+them gives all 2**k outcome probabilities of N settings.  Closed-form
+counterparts are provided separately so tests can confront the two
+routes.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import StructureError, ValidationError
-from .hilbert import StateVector, TensorSpace, inner
+from .errors import ValidationError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-PATH1 = ("path1", ("u", "d"))
-POL1 = ("pol1", ("H", "V"))
-POL2 = ("pol2", ("H", "V"))
-# Exits behind the right PBS in event-ready operation: "a" collects
-# transmitted H (the role of "d" above), "b" collects reflected V ("u").
-PATH1_EVENTREADY = ("path1", ("a", "b"))
-
-PAIR_SPACE = TensorSpace((POL1, POL2))
-TRIPLE_SPACE = TensorSpace((PATH1, POL1, POL2))
-EVENTREADY_SPACE = TensorSpace((POL1, PATH1_EVENTREADY))
-
-_PATH_SPACE = TensorSpace((PATH1,))
-_POL1_SPACE = TensorSpace((POL1,))
-_POL2_SPACE = TensorSpace((POL2,))
-_PATH_EVENTREADY_SPACE = TensorSpace((PATH1_EVENTREADY,))
 
 _SIGNS = (+1, -1)
 
@@ -126,191 +108,47 @@ TRIPLE_OUTCOMES = tuple(
 PAIR_OUTCOMES = tuple(Outcome(a, b) for a in _SIGNS for b in _SIGNS)
 
 
-@dataclass(frozen=True)
-class DichotomicObservable:
-    """A +-1-valued analyzer: a phase plus its two orthonormal eigenstates."""
+# The emitted pair is (|V H> + |H V>)/sqrt(2) over (pol1, pol2).  The PBS
+# reflects V into the upper exit u and transmits H into the lower exit d,
+# so photon 1's path copies its polarization:
+#     (|u V H> + |d H V>)/sqrt(2)  over (path1 u/d, pol1 H/V, pol2 H/V).
+# On every axis index 0 is u or H and index 1 is d or V.
+_GHZ = np.array(
+    [[[0, 0], [1, 0]],  # u: |u V H>
+     [[0, 1], [0, 0]]],  # d: |d H V>
+    dtype=np.complex128,
+) * _INV_SQRT2
 
-    kind: str
-    phase: float
-    plus: StateVector
-    minus: StateVector
+# Firing C = +1 at phi_c = 0 projects photon 2 onto (|V> + |H>)/sqrt(2)
+# and leaves photon 1 in (|u V> + |d H>)/sqrt(2).  Behind the right PBS
+# its exits are relabelled u -> b and d -> a, which gives
+#     (|a H> + |b V>)/sqrt(2)  over (path1 a/b, pol1 H/V),
+# with the A axis first like the GHZ array.
+_EVENTREADY = np.array([[1, 0], [0, 1]], dtype=np.complex128) * _INV_SQRT2
 
-    def __post_init__(self):
-        if not math.isclose(self.plus.norm(), 1.0, abs_tol=1e-12):
-            raise ValidationError(f"{self.kind}: +1 eigenstate not normalized")
-        if not math.isclose(self.minus.norm(), 1.0, abs_tol=1e-12):
-            raise ValidationError(f"{self.kind}: -1 eigenstate not normalized")
-        if abs(inner(self.plus, self.minus)) > 1e-12:
-            raise ValidationError(f"{self.kind}: eigenstates not orthogonal")
-
-    def eigenstate(self, sign: int) -> StateVector:
-        if sign == +1:
-            return self.plus
-        if sign == -1:
-            return self.minus
-        raise ValidationError(f"eigenvalue sign must be +1 or -1, got {sign!r}")
-
-
-def prepare_initial() -> StateVector:
-    """Polarization state of the emitted pair, (|V H> + |H V>)/sqrt(2) over
-    (pol1, pol2).  The photons' propagation directions are fixed product
-    factors and carry no slot."""
-    return StateVector.from_terms(
-        PAIR_SPACE,
-        {("V", "H"): _INV_SQRT2, ("H", "V"): _INV_SQRT2},
-    )
-
-
-def apply_pbs(state: StateVector) -> StateVector:
-    """Route photon 1 through the PBS: V reflects into u, H transmits into d.
-
-    Takes a (pol1, pol2) state and returns the path-entangled
-    (path1, pol1, pol2) state."""
-    if state.space != PAIR_SPACE:
-        raise StructureError("apply_pbs expects a state over (pol1, pol2)")
-    terms: dict[tuple[str, ...], complex] = {}
-    for label in PAIR_SPACE.labels():
-        amp = state.amplitude(label)
-        if amp == 0:
-            continue
-        pol1, pol2 = label
-        path = "u" if pol1 == "V" else "d"
-        terms[(path, pol1, pol2)] = amp
-    return StateVector.from_terms(TRIPLE_SPACE, terms)
-
-
-def ghz_state() -> StateVector:
-    """Path-entangled three-factor state behind the PBS."""
-    return apply_pbs(prepare_initial())
-
-
-def _check_phase(phase: float):
-    if not math.isfinite(phase):
-        raise ValidationError(f"phase must be finite, got {phase!r}")
-
-
-def _check_sign(sign: int):
-    if sign not in (-1, +1):
-        raise ValidationError(f"eigenvalue sign must be +1 or -1, got {sign!r}")
-
-
-def eigenstate_a(phase: float, sign: int) -> StateVector:
-    """Beam-splitter eigenstate (i|d> + sign*e^{i phase}|u>)/sqrt(2) on the
-    u/d path factor."""
-    _check_phase(phase)
-    _check_sign(sign)
-    return StateVector.from_terms(
-        _PATH_SPACE,
-        {("u",): sign * cmath.exp(1j * phase) * _INV_SQRT2, ("d",): 1j * _INV_SQRT2},
-    )
-
-
-def eigenstate_b(phase: float, sign: int) -> StateVector:
-    """Polarization eigenstate (|H> + sign*e^{i phase}|V>)/sqrt(2) of the
-    photon-1 analyzer (plate fast axis along V)."""
-    _check_phase(phase)
-    _check_sign(sign)
-    return StateVector.from_terms(
-        _POL1_SPACE,
-        {("H",): _INV_SQRT2, ("V",): sign * cmath.exp(1j * phase) * _INV_SQRT2},
-    )
-
-
-def eigenstate_c(phase: float, sign: int) -> StateVector:
-    """Polarization eigenstate (|V> + sign*e^{i phase}|H>)/sqrt(2) of the
-    photon-2 analyzer (plate fast axis along H)."""
-    _check_phase(phase)
-    _check_sign(sign)
-    return StateVector.from_terms(
-        _POL2_SPACE,
-        {("V",): _INV_SQRT2, ("H",): sign * cmath.exp(1j * phase) * _INV_SQRT2},
-    )
-
-
-def eigenstate_a_eventready(phase: float, sign: int) -> StateVector:
-    """Beam-splitter eigenstate on the relabeled a/b exits:
-    (i|a> + sign*e^{i phase}|b>)/sqrt(2)."""
-    _check_phase(phase)
-    _check_sign(sign)
-    return StateVector.from_terms(
-        _PATH_EVENTREADY_SPACE,
-        {("b",): sign * cmath.exp(1j * phase) * _INV_SQRT2, ("a",): 1j * _INV_SQRT2},
-    )
-
-
-def observable_a(phase: float) -> DichotomicObservable:
-    return DichotomicObservable(
-        "path-A", phase, eigenstate_a(phase, +1), eigenstate_a(phase, -1)
-    )
-
-
-def observable_b(phase: float) -> DichotomicObservable:
-    return DichotomicObservable(
-        "polarization-B", phase, eigenstate_b(phase, +1), eigenstate_b(phase, -1)
-    )
-
-
-def observable_c(phase: float) -> DichotomicObservable:
-    return DichotomicObservable(
-        "polarization-C", phase, eigenstate_c(phase, +1), eigenstate_c(phase, -1)
-    )
-
-
-def _require_triple(setting: PhaseSetting):
-    if setting.phi_c is None:
-        raise ValidationError("this operation needs all three phases set")
-
-
-def joint_probability(outcome: Outcome, setting: PhaseSetting) -> float:
-    """Triple-coincidence probability by explicit eigenstate projection."""
-    _require_triple(setting)
-    if outcome.c is None:
-        raise ValidationError("triple-coincidence outcome needs a C component")
-    table = _outcome_table(3, [[setting.phi_a, setting.phi_b, setting.phi_c]])
-    return float(table[0, _outcome_index(outcome)])
-
-
-def joint_probability_closed_form(outcome: Outcome, setting: PhaseSetting) -> float:
-    """(1 + A*B*C*sin(phi_a+phi_b+phi_c))/8, the sinusoid the projection
-    route must reproduce."""
-    _require_triple(setting)
-    if outcome.c is None:
-        raise ValidationError("triple-coincidence outcome needs a C component")
-    return (1.0 + outcome.product() * math.sin(setting.phase_sum())) / 8.0
-
-
-def correlation_qm3(setting: PhaseSetting) -> float:
-    """Expectation of the A*B*C product, summed over all eight outcomes."""
-    _require_triple(setting)
-    return _correlations(3, [[setting.phi_a, setting.phi_b, setting.phi_c]])[0]
-
-
-def eventready_state() -> StateVector:
-    """Photon-1 state heralded by C = +1 at phi_c = 0:
-    (|V b> + |H a>)/sqrt(2) over (pol1, path1)."""
-    return StateVector.from_terms(
-        EVENTREADY_SPACE,
-        {("V", "b"): _INV_SQRT2, ("H", "a"): _INV_SQRT2},
-    )
-
-
-def conditional_state_after_trigger() -> StateVector:
-    """Event-ready state computed the long way: project the full model on
-    the trigger eigenstate, renormalize, and relabel the exits (u -> b,
-    d -> a).  Must match :func:`eventready_state` within 1e-12."""
-    full = ghz_state()
-    trigger = eigenstate_c(0.0, +1)
-    terms: dict[tuple[str, ...], complex] = {}
-    for pol1 in POL1[1]:
-        for path in PATH1[1]:
-            amp = 0.0 + 0.0j
-            for pol2 in POL2[1]:
-                amp += trigger.amplitude((pol2,)).conjugate() * full.amplitude(
-                    (path, pol1, pol2)
-                )
-            if amp != 0:
-                terms[(pol1, "b" if path == "u" else "a")] = amp
-    return StateVector.from_terms(EVENTREADY_SPACE, terms).normalized()
+# Analyzer eigenstates of eigenvalue sign = +-1, each with one phase-free
+# component and one that carries sign * e^{i phase}:
+#     A = (i|d> + sign e^{i phi_a}|u>)/sqrt(2)  beam splitter on u/d
+#     B = (|H> + sign e^{i phi_b}|V>)/sqrt(2)   photon 1, plate fast axis V
+#     C = (|V> + sign e^{i phi_c}|H>)/sqrt(2)   photon 2, plate fast axis H
+#     A' = (i|a> + sign e^{i phi_a}|b>)/sqrt(2) event-ready A on exits a/b
+# The tables hold their conjugates, the bras, as (analyzer, sign +1/-1,
+# basis index on that analyzer's axis).  ``_FIXED`` is the phase-free
+# component (i becomes -i); ``_PHASED`` is sign/sqrt(2), which ``_bras``
+# multiplies by e^{-i phase}.  Three analyzers read rows (A, B, C), the
+# event-ready pair reads (A', B).
+_FIXED = np.array([
+    [[0, -1j], [0, -1j]],  # A: -i<d|
+    [[1, 0], [1, 0]],  # B: <H|
+    [[0, 1], [0, 1]],  # C: <V|
+    [[-1j, 0], [-1j, 0]],  # A': -i<a|
+]) * _INV_SQRT2
+_PHASED = np.array([
+    [[1, 0], [-1, 0]],  # A: sign <u|
+    [[0, 1], [0, -1]],  # B: sign <V|
+    [[1, 0], [-1, 0]],  # C: sign <H|
+    [[0, 1], [0, -1]],  # A': sign <b|
+]) * _INV_SQRT2
 
 
 class _Route(NamedTuple):
@@ -323,35 +161,56 @@ class _Route(NamedTuple):
     products: np.ndarray  # A*B(*C) of each outcome, in outcome order
 
 
-def _route(state, analyzers, subscripts: str, outcomes) -> _Route:
-    """``analyzers`` gives, per axis of ``state``, the basis index of the
-    eigenstate component sign * e^{i phase}/sqrt(2) and the other component
-    times sqrt(2), as the ``eigenstate_*`` constructors write them."""
-    fixed = np.zeros((len(analyzers), 2, 2), dtype=np.complex128)
-    phased = np.zeros((len(analyzers), 2, 2))
-    for j, (index, other) in enumerate(analyzers):
-        fixed[j, :, 1 - index] = np.conj(other * _INV_SQRT2)
-        phased[j, :, index] = (_INV_SQRT2, -_INV_SQRT2)
-    products = np.array([o.product() for o in outcomes], dtype=np.float64)
-    return _Route(state, fixed, phased, subscripts, products)
-
-
-# Built once from the labelled derivation.  The event-ready state's slots
-# are (pol1, path1); transposing puts the A axis first.
 _ROUTES = {
-    3: _route(
-        ghz_state().amplitudes.reshape(2, 2, 2),  # (path u/d, pol1 H/V, pol2 H/V)
-        ((0, 1j), (1, 1.0), (0, 1.0)),
-        "nax,nby,ncz,xyz->nabc",
-        TRIPLE_OUTCOMES,
-    ),
-    2: _route(
-        eventready_state().amplitudes.reshape(2, 2).T,  # (path a/b, pol1 H/V)
-        ((1, 1j), (1, 1.0)),
-        "nax,nby,xy->nab",
-        PAIR_OUTCOMES,
-    ),
+    3: _Route(_GHZ, _FIXED[:3], _PHASED[:3], "nax,nby,ncz,xyz->nabc",
+              np.array([o.product() for o in TRIPLE_OUTCOMES], dtype=np.float64)),
+    2: _Route(_EVENTREADY, _FIXED[[3, 1]], _PHASED[[3, 1]], "nax,nby,xy->nab",
+              np.array([o.product() for o in PAIR_OUTCOMES], dtype=np.float64)),
 }
+
+
+def _require_triple(setting: PhaseSetting, outcome: Outcome | None = None):
+    if setting.phi_c is None:
+        raise ValidationError("this operation needs all three phases set")
+    if outcome is not None and outcome.c is None:
+        raise ValidationError("triple-coincidence outcome needs a C component")
+
+
+def joint_probability(outcome: Outcome, setting: PhaseSetting) -> float:
+    """Triple-coincidence probability by explicit eigenstate projection."""
+    _require_triple(setting, outcome)
+    table = _outcome_table(3, [[setting.phi_a, setting.phi_b, setting.phi_c]])
+    return float(table[0, _outcome_index(outcome)])
+
+
+def joint_probability_closed_form(outcome: Outcome, setting: PhaseSetting) -> float:
+    """(1 + A*B*C*sin(phi_a+phi_b+phi_c))/8, the sinusoid the projection
+    route must reproduce."""
+    _require_triple(setting, outcome)
+    return (1.0 + outcome.product() * math.sin(setting.phase_sum())) / 8.0
+
+
+def correlation_qm3(setting: PhaseSetting) -> float:
+    """Expectation of the A*B*C product, summed over all eight outcomes."""
+    _require_triple(setting)
+    return _correlations(3, [[setting.phi_a, setting.phi_b, setting.phi_c]])[0]
+
+
+def eventready_state() -> np.ndarray:
+    """Photon-1 state heralded by C = +1 at phi_c = 0,
+    (|H a> + |V b>)/sqrt(2), as a flat complex array over (pol1, path1) in
+    the order H a, H b, V a, V b."""
+    return _EVENTREADY.T.reshape(4)
+
+
+def conditional_state_after_trigger() -> np.ndarray:
+    """Event-ready state computed the long way: contract the GHZ array with
+    the trigger bra <C=+1| at phi_c = 0, renormalize, and relabel the exits
+    (u -> b, d -> a).  Same layout as :func:`eventready_state`, which it
+    must match within 1e-12."""
+    trigger = _FIXED[2, 0] + _PHASED[2, 0]  # (<H| + <V|)/sqrt(2)
+    photon1 = np.einsum("z,xyz->yx", trigger, _GHZ)[:, ::-1]  # (pol1, path a/b)
+    return (photon1 / np.linalg.norm(photon1)).reshape(4)
 
 
 def _bras(n_analyzers: int, phases) -> np.ndarray:
@@ -401,25 +260,23 @@ def _correlations(n_analyzers: int, phases) -> list[float]:
     return (_outcome_table(n_analyzers, phases) @ _ROUTES[n_analyzers].products).tolist()
 
 
-def _require_pair(setting: PhaseSetting):
+def _require_pair(setting: PhaseSetting, outcome: Outcome | None = None):
     if setting.phi_c is not None:
         raise ValidationError("event-ready settings carry no phi_c")
+    if outcome is not None and outcome.c is not None:
+        raise ValidationError("event-ready outcomes carry no C component")
 
 
 def joint_probability_eventready(outcome: Outcome, setting: PhaseSetting) -> float:
     """Conditioned pair probability by eigenstate projection."""
-    _require_pair(setting)
-    if outcome.c is not None:
-        raise ValidationError("event-ready outcomes carry no C component")
+    _require_pair(setting, outcome)
     table = _outcome_table(2, [[setting.phi_a, setting.phi_b]])
     return float(table[0, _outcome_index(outcome)])
 
 
 def joint_probability_eventready_closed_form(outcome: Outcome, setting: PhaseSetting) -> float:
     """(1 + A*B*sin(phi_a+phi_b))/4."""
-    _require_pair(setting)
-    if outcome.c is not None:
-        raise ValidationError("event-ready outcomes carry no C component")
+    _require_pair(setting, outcome)
     return (1.0 + outcome.a * outcome.b * math.sin(setting.phi_a + setting.phi_b)) / 4.0
 
 

@@ -1,155 +1,8 @@
-"""Small dense state-vector algebra over labeled two-valued tensor factors.
+"""Empty on purpose.
 
-A space is an ordered tuple of slots, each slot a ``(name, (label0, label1))``
-pair.  Basis vectors are addressed by tuples of labels, one per slot, and map
-to array indices with the first slot most significant.  Everything is sized
-for the handful of qubit-like factors this package needs (at most three
-slots, dimension at most 8); general-dimension simulation, mixed states and
-sparse storage are out of scope.
+The labelled-slot state algebra that lived here is gone: the states and
+analyzer bras are literal arrays in :mod:`nchvsim.experiment`.  The module
+stays only because the benchmark's per-layer trace (``bench/run.py``)
+imports ``nchvsim.hilbert`` by name; delete it together with its entry in
+that layer list.
 """
-
-from __future__ import annotations
-
-import itertools
-import math
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from .errors import StructureError, ValidationError
-
-# Exact-math comparisons throughout the package use this tolerance.
-ATOL = 1e-12
-
-# Dimension cap: 3 two-valued slots.  Keeps the module honest about scope.
-MAX_SLOTS = 3
-
-Slot = tuple[str, tuple[str, str]]
-BasisLabel = tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class TensorSpace:
-    """Ordered product of named two-valued factors."""
-
-    slots: tuple[Slot, ...]
-
-    def __post_init__(self):
-        if not self.slots:
-            raise StructureError("a space needs at least one slot")
-        if len(self.slots) > MAX_SLOTS:
-            raise StructureError(
-                f"{len(self.slots)} slots exceed the supported maximum of "
-                f"{MAX_SLOTS} (dimension {2 ** MAX_SLOTS})"
-            )
-        names = [name for name, _ in self.slots]
-        if len(set(names)) != len(names):
-            raise StructureError(f"duplicate slot names in {names}")
-        for name, alphabet in self.slots:
-            if len(alphabet) != 2 or len(set(alphabet)) != 2:
-                raise StructureError(
-                    f"slot {name!r} needs two distinct labels, got {alphabet!r}"
-                )
-
-    @property
-    def dim(self) -> int:
-        return 2 ** len(self.slots)
-
-    def labels(self) -> tuple[BasisLabel, ...]:
-        """All basis labels in index order (first slot most significant)."""
-        return tuple(itertools.product(*(alpha for _, alpha in self.slots)))
-
-    def index_of(self, label: BasisLabel) -> int:
-        if len(label) != len(self.slots):
-            raise StructureError(
-                f"label {label!r} has {len(label)} factors, space has "
-                f"{len(self.slots)} slots"
-            )
-        index = 0
-        for (name, alphabet), factor in zip(self.slots, label):
-            try:
-                bit = alphabet.index(factor)
-            except ValueError:
-                raise StructureError(
-                    f"label factor {factor!r} not in alphabet {alphabet!r} "
-                    f"of slot {name!r}"
-                ) from None
-            index = 2 * index + bit
-        return index
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Dense complex amplitudes over a :class:`TensorSpace` basis."""
-
-    space: TensorSpace
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amp.shape != (self.space.dim,):
-            raise StructureError(
-                f"amplitude vector of shape {amp.shape} does not match "
-                f"dimension {self.space.dim}"
-            )
-        if not np.all(np.isfinite(amp.view(np.float64))):
-            raise ValidationError("amplitudes must be finite")
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-
-    @classmethod
-    def from_terms(cls, space: TensorSpace, terms: dict[BasisLabel, complex]) -> StateVector:
-        """Build a state from a sparse {label: amplitude} mapping."""
-        amp = np.zeros(space.dim, dtype=np.complex128)
-        for label, value in terms.items():
-            amp[space.index_of(label)] += value
-        return cls(space, amp)
-
-    def amplitude(self, label: BasisLabel) -> complex:
-        return complex(self.amplitudes[self.space.index_of(label)])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> StateVector:
-        n = self.norm()
-        if n < ATOL:
-            raise ValidationError("cannot normalize a (near-)zero vector")
-        return StateVector(self.space, self.amplitudes / n)
-
-
-def basis_state(space: TensorSpace, label: BasisLabel) -> StateVector:
-    amp = np.zeros(space.dim, dtype=np.complex128)
-    amp[space.index_of(label)] = 1.0
-    return StateVector(space, amp)
-
-
-def tensor(u: StateVector, v: StateVector) -> StateVector:
-    """Tensor product; slot lists concatenate and must not collide."""
-    u_names = {name for name, _ in u.space.slots}
-    v_names = {name for name, _ in v.space.slots}
-    overlap = u_names & v_names
-    if overlap:
-        raise StructureError(f"slot collision in tensor product: {sorted(overlap)}")
-    joined = TensorSpace(u.space.slots + v.space.slots)
-    return StateVector(joined, np.kron(u.amplitudes, v.amplitudes))
-
-
-def inner(u: StateVector, v: StateVector) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    if u.space != v.space:
-        raise StructureError(
-            f"inner product between different spaces: "
-            f"{[s[0] for s in u.space.slots]} vs {[s[0] for s in v.space.slots]}"
-        )
-    return complex(np.vdot(u.amplitudes, v.amplitudes))
-
-
-def probability(eigenstate: StateVector, state: StateVector) -> float:
-    """Born weight |<eigenstate|state>|^2.  Both arguments unit-normalized."""
-    p = abs(inner(eigenstate, state)) ** 2
-    return float(min(max(p, 0.0), 1.0))
-
-
-def is_normalized(state: StateVector, atol: float = ATOL) -> bool:
-    return math.isclose(state.norm(), 1.0, rel_tol=0.0, abs_tol=atol)

@@ -150,8 +150,9 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         ({"visibility": True}, "visibility"),
         ({"seed": 1.5}, "seed"),
         ({"seed": 1e30}, "seed"),
+        ({"out": 7}, "out"),
     ],
-    ids=["float-trials", "bool-visibility", "float-seed", "huge-float-seed"],
+    ids=["float-trials", "bool-visibility", "float-seed", "huge-float-seed", "number-out"],
 )
 def test_config_values_pass_the_flags_own_type_checks(tmp_path, values, key):
     config = tmp_path / "run.json"

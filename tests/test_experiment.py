@@ -4,107 +4,79 @@ import math
 import numpy as np
 import pytest
 
-from nchvsim.errors import StructureError, ValidationError
+from nchvsim.errors import ValidationError
 from nchvsim.experiment import (
-    EVENTREADY_SPACE,
+    _GHZ,
     PAIR_OUTCOMES,
-    PAIR_SPACE,
     TRIPLE_OUTCOMES,
-    TRIPLE_SPACE,
     Outcome,
     PhaseSetting,
-    apply_pbs,
+    _bras,
     conditional_state_after_trigger,
     correlation_qm2,
     correlation_qm3,
-    eigenstate_a,
-    eigenstate_a_eventready,
-    eigenstate_b,
-    eigenstate_c,
     eventready_state,
-    ghz_state,
     joint_probability,
     joint_probability_closed_form,
     joint_probability_eventready,
     joint_probability_eventready_closed_form,
-    observable_a,
-    observable_b,
-    observable_c,
-    prepare_initial,
 )
-from nchvsim.hilbert import inner
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def test_initial_state_amplitudes():
-    state = prepare_initial()
-    assert state.space == PAIR_SPACE
-    assert state.amplitude(("V", "H")) == pytest.approx(INV_SQRT2, abs=1e-15)
-    assert state.amplitude(("H", "V")) == pytest.approx(INV_SQRT2, abs=1e-15)
-    assert state.amplitude(("H", "H")) == 0.0
-    assert state.amplitude(("V", "V")) == 0.0
-    assert math.isclose(state.norm(), 1.0, abs_tol=1e-12)
+def kets(phases):
+    """Analyzer eigenstates at one setting, shape (k, 2, 2): analyzer
+    (A, B[, C]), sign (+1, -1), basis index on that analyzer's axis."""
+    return _bras(len(phases), [phases]).conj()[0]
 
 
 def test_pbs_routes_v_up_h_down():
-    state = apply_pbs(prepare_initial())
-    assert state.space == TRIPLE_SPACE
-    assert state.amplitude(("u", "V", "H")) == pytest.approx(INV_SQRT2, abs=1e-15)
-    assert state.amplitude(("d", "H", "V")) == pytest.approx(INV_SQRT2, abs=1e-15)
-    assert math.isclose(state.norm(), 1.0, abs_tol=1e-12)
-    # every other component vanishes
-    populated = {("u", "V", "H"), ("d", "H", "V")}
-    for label in TRIPLE_SPACE.labels():
-        if label not in populated:
-            assert state.amplitude(label) == 0.0
-
-
-def test_pbs_rejects_wrong_space():
-    with pytest.raises(StructureError):
-        apply_pbs(ghz_state())
+    # emitted pair (|V H> + |H V>)/sqrt(2); index 0 is u or H, 1 is d or V
+    pair = np.array([[0.0, 1.0], [1.0, 0.0]]) * INV_SQRT2
+    routed = np.zeros((2, 2, 2), dtype=complex)
+    for pol1 in (0, 1):
+        path = 0 if pol1 == 1 else 1  # V reflects into u, H transmits into d
+        routed[path, pol1] = pair[pol1]
+    assert _GHZ.shape == (2, 2, 2)
+    assert np.max(np.abs(_GHZ - routed)) <= 1e-15
+    assert _GHZ[0, 1, 0] == pytest.approx(INV_SQRT2, abs=1e-15)  # |u V H>
+    assert _GHZ[1, 0, 1] == pytest.approx(INV_SQRT2, abs=1e-15)  # |d H V>
+    assert np.count_nonzero(_GHZ) == 2
+    assert math.isclose(np.linalg.norm(_GHZ), 1.0, abs_tol=1e-12)
 
 
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_eigenstate_a_components(sign):
-    state = eigenstate_a(0.0, sign)
-    assert state.amplitude(("u",)) == pytest.approx(sign * INV_SQRT2, abs=1e-15)
-    assert state.amplitude(("d",)) == pytest.approx(1j * INV_SQRT2, abs=1e-15)
+    u, d = kets([0.0, 0.0, 0.0])[0, (+1, -1).index(sign)]
+    assert u == pytest.approx(sign * INV_SQRT2, abs=1e-15)
+    assert d == pytest.approx(1j * INV_SQRT2, abs=1e-15)
 
 
 def test_eigenstate_b_phase_pi():
-    state = eigenstate_b(math.pi, +1)
-    assert state.amplitude(("H",)) == pytest.approx(INV_SQRT2, abs=1e-15)
-    assert state.amplitude(("V",)) == pytest.approx(-INV_SQRT2, abs=1e-12)
+    h, v = kets([0.0, math.pi, 0.0])[1, 0]
+    assert h == pytest.approx(INV_SQRT2, abs=1e-15)
+    assert v == pytest.approx(-INV_SQRT2, abs=1e-12)
 
 
 def test_eigenstate_c_quarter_phase():
-    state = eigenstate_c(math.pi / 2.0, +1)
-    assert state.amplitude(("V",)) == pytest.approx(INV_SQRT2, abs=1e-15)
-    assert state.amplitude(("H",)) == pytest.approx(1j * INV_SQRT2, abs=1e-12)
+    h, v = kets([0.0, 0.0, math.pi / 2.0])[2, 0]
+    assert v == pytest.approx(INV_SQRT2, abs=1e-15)
+    assert h == pytest.approx(1j * INV_SQRT2, abs=1e-12)
 
 
 @pytest.mark.parametrize(
-    "factory",
-    [eigenstate_a, eigenstate_b, eigenstate_c, eigenstate_a_eventready],
+    "k, analyzer",
+    [(3, 0), (3, 1), (3, 2), (2, 0)],
+    ids=["eigenstate_a", "eigenstate_b", "eigenstate_c", "eigenstate_a_eventready"],
 )
-def test_eigenstates_orthonormal_at_random_phases(factory):
+def test_eigenstates_orthonormal_at_random_phases(k, analyzer):
     rng = np.random.default_rng(21)
-    for phase in rng.uniform(-2 * math.pi, 2 * math.pi, size=20):
-        plus = factory(phase, +1)
-        minus = factory(phase, -1)
-        assert math.isclose(plus.norm(), 1.0, abs_tol=1e-12)
-        assert math.isclose(minus.norm(), 1.0, abs_tol=1e-12)
-        assert abs(inner(plus, minus)) < 1e-12
-
-
-@pytest.mark.parametrize("factory", [observable_a, observable_b, observable_c])
-def test_observables_validate_their_eigenstates(factory):
-    obs = factory(0.7)
-    assert obs.eigenstate(+1) is obs.plus
-    assert obs.eigenstate(-1) is obs.minus
-    with pytest.raises(ValidationError):
-        obs.eigenstate(0)
+    phases = rng.uniform(-2 * math.pi, 2 * math.pi, size=(20, k))
+    for plus, minus in _bras(k, phases).conj()[:, analyzer]:
+        assert math.isclose(np.linalg.norm(plus), 1.0, abs_tol=1e-12)
+        assert math.isclose(np.linalg.norm(minus), 1.0, abs_tol=1e-12)
+        assert abs(np.vdot(plus, minus)) < 1e-12
 
 
 def test_joint_probability_known_values():
@@ -156,19 +128,19 @@ def test_correlation_periodicity():
 
 
 def test_eventready_state_amplitudes():
-    state = eventready_state()
-    assert state.space == EVENTREADY_SPACE
-    assert state.amplitude(("V", "b")) == pytest.approx(INV_SQRT2, abs=1e-15)
-    assert state.amplitude(("H", "a")) == pytest.approx(INV_SQRT2, abs=1e-15)
-    assert state.amplitude(("H", "b")) == 0.0
-    assert state.amplitude(("V", "a")) == 0.0
+    h_a, h_b, v_a, v_b = eventready_state()
+    assert v_b == pytest.approx(INV_SQRT2, abs=1e-15)
+    assert h_a == pytest.approx(INV_SQRT2, abs=1e-15)
+    assert h_b == 0.0
+    assert v_a == 0.0
 
 
 def test_conditional_state_matches_direct_construction():
     direct = eventready_state()
     conditioned = conditional_state_after_trigger()
-    assert conditioned.space == direct.space
-    assert np.max(np.abs(conditioned.amplitudes - direct.amplitudes)) < 1e-12
+    assert conditioned.shape == direct.shape == (4,)
+    assert conditioned.dtype == direct.dtype == np.complex128
+    assert np.max(np.abs(conditioned - direct)) < 1e-12
 
 
 def test_eventready_joint_probability_matches_closed_form():
@@ -225,13 +197,11 @@ def test_outcome_and_setting_validation():
         joint_probability(Outcome(+1, +1, +1), PhaseSetting(0.0, 0.0))
     with pytest.raises(ValidationError):
         joint_probability_eventready(Outcome(+1, +1, +1), PhaseSetting(0.0, 0.0))
-    with pytest.raises(ValidationError):
-        eigenstate_a(0.0, 2)
 
 
 def test_eigenstate_phase_convention():
     # the +1 eigenstate picks up exactly e^{i phase} on its second component
     phase = 1.234
-    state = eigenstate_b(phase, +1)
-    ratio = state.amplitude(("V",)) / state.amplitude(("H",))
+    h, v = kets([0.0, phase, 0.0])[1, 0]
+    ratio = v / h
     assert cmath.isclose(ratio, cmath.exp(1j * phase), abs_tol=1e-12)

@@ -1,6 +1,7 @@
 """Property tests of the batched projection table that every quantum
 probability and correlation in ``nchvsim.experiment`` is read from."""
 
+import cmath
 import math
 
 import numpy as np
@@ -18,10 +19,6 @@ from nchvsim.experiment import (
     correlation_qm2,
     correlation_qm3,
     correlations,
-    eigenstate_a,
-    eigenstate_a_eventready,
-    eigenstate_b,
-    eigenstate_c,
     joint_probability,
     joint_probability_closed_form,
     joint_probability_eventready,
@@ -78,19 +75,32 @@ def test_table_rows_are_distributions_with_uniform_marginals(case):
         assert np.max(np.abs(by_analyzer.sum(axis=others) - 0.5)) <= 1e-12
 
 
+def _kets_by_formula(k, phase, sign):
+    """Each analyzer's eigenstate of eigenvalue ``sign``, written out in the
+    basis order of its axis of the state."""
+    phased = sign * cmath.exp(1j * phase) / math.sqrt(2.0)
+    fixed = 1.0 / math.sqrt(2.0)
+    if k == 3:
+        return (
+            (phased, 1j * fixed),  # A = (i|d> + s e^{i phi}|u>)/sqrt2 over (u, d)
+            (fixed, phased),  # B = (|H> + s e^{i phi}|V>)/sqrt2 over (H, V)
+            (phased, fixed),  # C = (|V> + s e^{i phi}|H>)/sqrt2 over (H, V)
+        )
+    return (
+        (1j * fixed, phased),  # A = (i|a> + s e^{i phi}|b>)/sqrt2 over (a, b)
+        (fixed, phased),  # B = (|H> + s e^{i phi}|V>)/sqrt2 over (H, V)
+    )
+
+
 @settings(max_examples=50, deadline=None)
 @given(phase_tables())
 def test_table_bras_are_the_labelled_eigenstates(case):
     k, phases = case
     kets = _bras(k, phases).conj()
-    if k == 3:
-        factories = (eigenstate_a, eigenstate_b, eigenstate_c)
-    else:
-        factories = (eigenstate_a_eventready, eigenstate_b)
     for n, row in enumerate(phases):
-        for j, (factory, phase) in enumerate(zip(factories, row)):
+        for j, phase in enumerate(row):
             for s, sign in enumerate((+1, -1)):
-                expected = factory(float(phase), sign).amplitudes
+                expected = np.array(_kets_by_formula(k, float(phase), sign)[j])
                 assert np.max(np.abs(kets[n, j, s] - expected)) <= 1e-15
 
 
