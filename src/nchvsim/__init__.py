@@ -8,7 +8,6 @@ from .errors import (
     EstimationError,
     FixtureParseError,
     SimulationError,
-    StructureError,
     ValidationError,
 )
 from .experiment import (

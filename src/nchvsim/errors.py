@@ -12,10 +12,6 @@ class SimulationError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class StructureError(SimulationError):
-    """Tensor-structure mismatch: colliding slots, wrong space, bad label."""
-
-
 class ValidationError(SimulationError):
     """An argument violates a documented precondition."""
 

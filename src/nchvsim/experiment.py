@@ -29,6 +29,7 @@ routes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -179,7 +180,7 @@ def _require_triple(setting: PhaseSetting, outcome: Outcome | None = None):
 def joint_probability(outcome: Outcome, setting: PhaseSetting) -> float:
     """Triple-coincidence probability by explicit eigenstate projection."""
     _require_triple(setting, outcome)
-    table = _outcome_table(3, [[setting.phi_a, setting.phi_b, setting.phi_c]])
+    table = _setting_table(3, (setting.phi_a, setting.phi_b, setting.phi_c))
     return float(table[0, _outcome_index(outcome)])
 
 
@@ -193,7 +194,8 @@ def joint_probability_closed_form(outcome: Outcome, setting: PhaseSetting) -> fl
 def correlation_qm3(setting: PhaseSetting) -> float:
     """Expectation of the A*B*C product, summed over all eight outcomes."""
     _require_triple(setting)
-    return _correlations(3, [[setting.phi_a, setting.phi_b, setting.phi_c]])[0]
+    table = _setting_table(3, (setting.phi_a, setting.phi_b, setting.phi_c))
+    return (table @ _ROUTES[3].products).item()
 
 
 def eventready_state() -> np.ndarray:
@@ -247,6 +249,23 @@ def _outcome_table(n_analyzers: int, phases) -> np.ndarray:
     return np.square(np.hypot(amplitudes.real, amplitudes.imag)).reshape(len(bras), -1)
 
 
+# The per-outcome functions are called once per outcome of one setting, and
+# callers check a triple and a pair side by side, so the last two tables
+# projected are kept.
+_SETTING_TABLES = 2
+
+
+@functools.lru_cache(maxsize=_SETTING_TABLES)
+def _setting_table(n_analyzers: int, phases: tuple) -> np.ndarray:
+    """Read-only ``_outcome_table`` of one setting, shape (1, 2**k).
+
+    Phases that compare equal give bit-identical tables (0.0 and -0.0, 1
+    and 1.0), so sharing their cache entry changes no probability."""
+    table = _outcome_table(n_analyzers, [phases])
+    table.flags.writeable = False
+    return table
+
+
 def _outcome_index(outcome: Outcome) -> int:
     """Position of ``outcome`` in ``TRIPLE_OUTCOMES`` or ``PAIR_OUTCOMES``."""
     index = 0
@@ -270,7 +289,7 @@ def _require_pair(setting: PhaseSetting, outcome: Outcome | None = None):
 def joint_probability_eventready(outcome: Outcome, setting: PhaseSetting) -> float:
     """Conditioned pair probability by eigenstate projection."""
     _require_pair(setting, outcome)
-    table = _outcome_table(2, [[setting.phi_a, setting.phi_b]])
+    table = _setting_table(2, (setting.phi_a, setting.phi_b))
     return float(table[0, _outcome_index(outcome)])
 
 
@@ -283,7 +302,8 @@ def joint_probability_eventready_closed_form(outcome: Outcome, setting: PhaseSet
 def correlation_qm2(setting: PhaseSetting) -> float:
     """Expectation of the A*B product in the event-ready configuration."""
     _require_pair(setting)
-    return _correlations(2, [[setting.phi_a, setting.phi_b]])[0]
+    table = _setting_table(2, (setting.phi_a, setting.phi_b))
+    return (table @ _ROUTES[2].products).item()
 
 
 def correlations(settings) -> list[float]:

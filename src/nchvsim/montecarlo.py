@@ -50,9 +50,6 @@ class NoiseModel:
         return (1.0 - self.background) * self.visibility
 
 
-IDEAL = NoiseModel()
-
-
 @dataclass(frozen=True)
 class CoincidenceCounts:
     """Observed outcome histogram at one setting."""

@@ -25,8 +25,6 @@ MAX_ENUMERATION_BITS = 24
 # class.  Quoted constant; no derivation is implemented here.
 DETECTION_EFFICIENCY_THRESHOLD = math.sqrt(2.0) / 2.0
 
-_OBSERVABLES = ("a", "b", "c")
-
 
 def _check_phases(name: str, phases: tuple[float, ...]):
     for phi in phases:

@@ -51,6 +51,11 @@ MIN_SIGN_COUNT = 5
 
 _HALF = 0.5  # inequality settings in units of pi: 0 and pi/2
 
+# Finest threshold grid.  At 1 / 1e-12 steps every grid point k * step is
+# a distinct float; past 2**53 steps neighbouring points round together,
+# and the grid search would walk them one at a time.
+MIN_RESOLUTION = 1e-12
+
 
 @dataclass(frozen=True)
 class InequalityTest:
@@ -60,7 +65,8 @@ class InequalityTest:
     indices on (phi_a, phi_a') x (0, pi/2) [x (0, pi/2)].  ``ideal`` is the
     (phi_a, phi_a') of the quantum maximum, in units of pi.  The classical
     bound depends only on which phases the terms read, so it is enumerated
-    once, on ``grid``, which has (0, pi/2) for every analyzer."""
+    once, on ``grid``, which has (0, pi/2) for every analyzer; the
+    projected |value| at ``ideal`` is computed once too."""
 
     expression: str
     label: str
@@ -70,12 +76,38 @@ class InequalityTest:
     ideal: tuple[float, float]
     grid: PhaseGrid = field(init=False)
     bound: float = field(init=False)
+    ideal_value: float = field(init=False)
 
     def __post_init__(self):
         analyzers = 2 if self.terms[0].c_index is None else 3
         grid = PhaseGrid(*[(0.0, _HALF * math.pi)] * analyzers)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "bound", classical_bound(self.terms, grid))
+        phi_a, phi_a_prime = (phi * math.pi for phi in self.ideal)
+        ideal = correlations(self.settings(phi_a, phi_a_prime))
+        value = abs(expression_value(self.terms, self.by_term(ideal)))
+        object.__setattr__(self, "ideal_value", value)
+
+    def report_terms(self) -> list[ExpressionTerm]:
+        return [self.terms[k] for k in self.order]
+
+    def settings(self, phi_a: float, phi_a_prime: float) -> list[PhaseSetting]:
+        """The report settings: each reads its term's phases off the test
+        grid with the beam-splitter phases (phi_a, phi_a') in place of its
+        a phases."""
+        grid = replace(self.grid, a_phases=(phi_a, phi_a_prime))
+        settings = []
+        for term in self.report_terms():
+            phi_c = None if term.c_index is None else grid.c_phases[term.c_index]
+            settings.append(
+                PhaseSetting(grid.a_phases[term.a_index], grid.b_phases[term.b_index], phi_c)
+            )
+        return settings
+
+    def by_term(self, per_setting: list) -> list:
+        """Reorder values given per report setting into expression order."""
+        by_term = dict(zip(self.order, per_setting))
+        return [by_term[k] for k in range(len(self.terms))]
 
 
 TESTS = {
@@ -262,29 +294,6 @@ def _estimate_entry(est: CorrelationEstimate, analytic: float | None) -> dict:
     return entry
 
 
-def _report_terms(test: InequalityTest) -> list[ExpressionTerm]:
-    return [test.terms[k] for k in test.order]
-
-
-def _settings(test: InequalityTest, phi_a: float, phi_a_prime: float) -> list[PhaseSetting]:
-    """The report settings: each reads its term's phases off the test grid
-    with the beam-splitter phases (phi_a, phi_a') in place of its a phases."""
-    grid = replace(test.grid, a_phases=(phi_a, phi_a_prime))
-    settings = []
-    for term in _report_terms(test):
-        phi_c = None if term.c_index is None else grid.c_phases[term.c_index]
-        settings.append(
-            PhaseSetting(grid.a_phases[term.a_index], grid.b_phases[term.b_index], phi_c)
-        )
-    return settings
-
-
-def _by_term(test: InequalityTest, per_setting: list) -> list:
-    """Reorder values given per report setting into expression order."""
-    by_term = dict(zip(test.order, per_setting))
-    return [by_term[k] for k in range(len(test.terms))]
-
-
 def _derive(
     test: InequalityTest, estimates: list, analytic: list[float] | None
 ) -> tuple[dict, dict]:
@@ -293,7 +302,7 @@ def _derive(
     ``sigma``; simulated ones also carry their event count ``n``, and
     ``analytic`` holds their noise-model correlations.  ``analytic`` is
     None for replayed estimates."""
-    ordered = _by_term(test, estimates)
+    ordered = test.by_term(estimates)
     value = expression_value(test.terms, [e.value for e in ordered])
     _, sigma = propagate_error(
         [(e.value, e.sigma) for e in ordered], [term.sign for term in test.terms]
@@ -388,7 +397,7 @@ def _verdict_summary(
 
 def _simulate_report(config: RunConfig) -> Report:
     test = TESTS[config.experiment]
-    settings = _settings(test, config.phi_a, config.phi_a_prime)
+    settings = test.settings(config.phi_a, config.phi_a_prime)
     seeds = _setting_seeds(config.seed, len(settings))
     estimates = [_estimate(s, config, seed) for s, seed in zip(settings, seeds)]
     analytic = [_analytic(est.setting, config.noise) for est in estimates]
@@ -435,18 +444,18 @@ def _grid_threshold(amplitude: float, limit: float, resolution: float) -> float:
 
 def threshold_study(expression: str, resolution: float = 1e-4) -> dict:
     """Smallest visibility, on a grid of spacing ``resolution``, whose noisy
-    quantum expression exceeds the enumerated classical bound."""
-    if not 0.0 < resolution <= 0.1:
-        raise ValidationError(f"resolution must be in (0, 0.1], got {resolution!r}")
+    quantum expression exceeds the enumerated classical bound.
+    ``resolution`` must lie in [MIN_RESOLUTION, 0.1]."""
+    if not MIN_RESOLUTION <= resolution <= 0.1:
+        raise ValidationError(
+            f"resolution must be in [{MIN_RESOLUTION:g}, 0.1], got {resolution!r}"
+        )
     test = EXPRESSIONS.get(expression)
     if test is None:
         raise ValidationError(
             f"expression must be 'chsh' or 'mermin', got {expression!r}"
         )
-    phi_a, phi_a_prime = (phi * math.pi for phi in test.ideal)
-    ideal = correlations(_settings(test, phi_a, phi_a_prime))
-    amplitude = abs(expression_value(test.terms, _by_term(test, ideal)))
-    limit = test.bound
+    amplitude, limit = test.ideal_value, test.bound
     if not amplitude > limit:
         raise SimulationError(
             f"{expression} expression never exceeds the classical bound"
@@ -454,7 +463,7 @@ def threshold_study(expression: str, resolution: float = 1e-4) -> dict:
     return {
         "expression": expression,
         "classical_bound": limit,
-        "quantum_value_at_unit_visibility": float(amplitude),
+        "quantum_value_at_unit_visibility": amplitude,
         "threshold_visibility": _grid_threshold(amplitude, limit, resolution),
         "resolution": resolution,
         "efficiency_threshold_quoted": DETECTION_EFFICIENCY_THRESHOLD,
@@ -564,7 +573,7 @@ def _near(x: float, target: float) -> bool:
 def _match_exp1(rows: list[ReplayRow]) -> list[ReplayRow]:
     """Rows in report order, matched by their (phi_b, phi_c) pattern."""
     patterns = [
-        (term.b_index * _HALF, term.c_index * _HALF) for term in _report_terms(TESTS["exp1"])
+        (term.b_index * _HALF, term.c_index * _HALF) for term in TESTS["exp1"].report_terms()
     ]
     slots: dict[tuple[float, float], ReplayRow] = {}
     for row in rows:
@@ -622,7 +631,7 @@ def _match_exp2(rows: list[ReplayRow]) -> list[ReplayRow]:
             )
         slots[key] = row
     return [
-        slots[(term.a_index, term.b_index * _HALF)] for term in _report_terms(TESTS["exp2"])
+        slots[(term.a_index, term.b_index * _HALF)] for term in TESTS["exp2"].report_terms()
     ]
 
 

@@ -108,6 +108,15 @@ def test_validation_errors_exit_2():
     ).returncode == 2
 
 
+@pytest.mark.parametrize("resolution", ["1e-25", "5e-324"])
+def test_threshold_below_finest_resolution_exits_2(resolution):
+    # 1e-25 used to hang and 5e-324 to end in an OverflowError traceback
+    result = run_cli("threshold", "--expression", "chsh", "--resolution", resolution)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: resolution must be in [1e-12, 0.1]")
+    assert "Traceback" not in result.stderr
+
+
 def test_threshold_subcommand(tmp_path):
     out = tmp_path / "threshold.json"
     result = run_cli("threshold", "--expression", "chsh", "--out", str(out))

@@ -14,8 +14,11 @@ from nchvsim.experiment import (
     PAIR_OUTCOMES,
     TRIPLE_OUTCOMES,
     PhaseSetting,
+    _SETTING_TABLES,
     _bras,
+    _correlations,
     _outcome_table,
+    _setting_table,
     correlation_qm2,
     correlation_qm3,
     correlations,
@@ -24,6 +27,8 @@ from nchvsim.experiment import (
     joint_probability_eventready,
     joint_probability_eventready_closed_form,
 )
+from nchvsim.nchv import expression_value
+from nchvsim.reports import TESTS
 
 FOUR_PI = 4.0 * math.pi
 
@@ -133,3 +138,63 @@ def test_correlations_need_one_configuration():
         correlation_qm3(PhaseSetting(0.0, 0.0))
     with pytest.raises(ValidationError):
         correlation_qm2(PhaseSetting(0.0, 0.0, 0.0))
+
+
+# Phases whose cache keys collide or whose sines are exact: signed zeros,
+# integers (equal to their floats as keys) and multiples of pi/4.
+_phases = st.one_of(
+    st.floats(-FOUR_PI, FOUR_PI, allow_nan=False, allow_infinity=False),
+    st.sampled_from((0.0, -0.0)),
+    st.integers(-20, 20),
+    st.integers(-16, 16).map(lambda k: k * math.pi / 4.0),
+)
+_per_setting = st.one_of(
+    st.tuples(_phases, _phases, _phases), st.tuples(_phases, _phases)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    calls=st.lists(st.tuples(_per_setting, st.booleans()), min_size=1, max_size=8),
+    cold=st.booleans(),
+)
+def test_per_setting_functions_equal_a_fresh_projection(calls, cold):
+    """Each call reads the cached table of its setting; the sequence repeats
+    settings, mixes triples and pairs, and asks for the correlation before
+    or after the outcomes."""
+    if cold:
+        _setting_table.cache_clear()
+    for phases, correlation_first in calls * 2:
+        setting = PhaseSetting(*phases)
+        k = len(phases)
+        fresh = _outcome_table(k, [phases])[0]
+        if k == 3:
+            outcomes, projected, correlation = (
+                TRIPLE_OUTCOMES, joint_probability, correlation_qm3)
+        else:
+            outcomes, projected, correlation = (
+                PAIR_OUTCOMES, joint_probability_eventready, correlation_qm2)
+        if correlation_first:
+            e = correlation(setting)
+        probabilities = [projected(outcome, setting) for outcome in outcomes]
+        if not correlation_first:
+            e = correlation(setting)
+        assert probabilities == fresh.tolist()
+        assert e == _correlations(k, [phases])[0]
+        assert type(e) is float
+
+
+def test_setting_table_is_read_only_and_bounded():
+    table = _setting_table(3, (0.1, 0.2, 0.3))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    assert _setting_table.cache_info().maxsize == _SETTING_TABLES
+
+
+@pytest.mark.parametrize("name", sorted(TESTS))
+def test_stored_ideal_value_equals_a_fresh_projection(name):
+    test = TESTS[name]
+    phi_a, phi_a_prime = (phi * math.pi for phi in test.ideal)
+    ideal = correlations(test.settings(phi_a, phi_a_prime))
+    assert test.ideal_value == abs(expression_value(test.terms, test.by_term(ideal)))

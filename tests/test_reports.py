@@ -434,8 +434,9 @@ def test_threshold_study_values():
 def test_threshold_study_resolution_controls_granularity():
     coarse = threshold_study("mermin", 0.05)
     assert coarse["threshold_visibility"] == pytest.approx(0.55, abs=1e-12)
-    with pytest.raises(ValidationError):
-        threshold_study("mermin", 0.0)
+    for resolution in (0.0, 1e-25, 5e-324):
+        with pytest.raises(ValidationError):
+            threshold_study("mermin", resolution)
     with pytest.raises(ValidationError):
         threshold_study("unknown", 1e-3)
 
