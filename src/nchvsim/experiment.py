@@ -195,7 +195,7 @@ def correlation_qm3(setting: PhaseSetting) -> float:
     """Expectation of the A*B*C product, summed over all eight outcomes."""
     _require_triple(setting)
     table = _setting_table(3, (setting.phi_a, setting.phi_b, setting.phi_c))
-    return (table @ _ROUTES[3].products).item()
+    return _expectations(3, table).item()
 
 
 def eventready_state() -> np.ndarray:
@@ -275,8 +275,16 @@ def _outcome_index(outcome: Outcome) -> int:
     return index
 
 
+def _expectations(n_analyzers: int, table: np.ndarray) -> np.ndarray:
+    """A*B(*C) expectation of each row of an outcome table.  Each row is
+    summed on its own: ``table @ products`` sums in an order that depends
+    on the number of rows, which would make a setting's correlation depend
+    on its batch."""
+    return (table * _ROUTES[n_analyzers].products).sum(axis=1)
+
+
 def _correlations(n_analyzers: int, phases) -> list[float]:
-    return (_outcome_table(n_analyzers, phases) @ _ROUTES[n_analyzers].products).tolist()
+    return _expectations(n_analyzers, _outcome_table(n_analyzers, phases)).tolist()
 
 
 def _require_pair(setting: PhaseSetting, outcome: Outcome | None = None):
@@ -303,7 +311,7 @@ def correlation_qm2(setting: PhaseSetting) -> float:
     """Expectation of the A*B product in the event-ready configuration."""
     _require_pair(setting)
     table = _setting_table(2, (setting.phi_a, setting.phi_b))
-    return (table @ _ROUTES[2].products).item()
+    return _expectations(2, table).item()
 
 
 def correlations(settings) -> list[float]:

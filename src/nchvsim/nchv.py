@@ -77,12 +77,6 @@ class HiddenAssignment:
         _check_values("b", self.b_values)
         _check_values("c", self.c_values)
 
-    def value(self, observable: str, index: int) -> int:
-        values = getattr(self, f"{observable}_values", None)
-        if values is None:
-            raise ValidationError(f"unknown observable {observable!r}")
-        return values[index]
-
     def matches(self, grid: PhaseGrid) -> bool:
         return (
             len(self.a_values),

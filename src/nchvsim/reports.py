@@ -279,19 +279,18 @@ def _config_echo(config: RunConfig) -> dict:
     }
 
 
-def _estimate_entry(est: CorrelationEstimate, analytic: float | None) -> dict:
-    canon = est.setting.canonical()
-    entry = {
+def _entry(estimate, **extra) -> dict:
+    """Report entry of a simulated estimate or a replayed row: its setting's
+    canonical phases in radians, its value and sigma, and ``extra``."""
+    canon = estimate.setting.canonical()
+    return {
         "phi_a": canon.phi_a,
         "phi_b": canon.phi_b,
         "phi_c": canon.phi_c,
-        "value": est.value,
-        "sigma": est.sigma,
-        "n": est.n,
+        "value": estimate.value,
+        "sigma": estimate.sigma,
+        **extra,
     }
-    if analytic is not None:
-        entry["analytic"] = analytic
-    return entry
 
 
 def _derive(
@@ -401,7 +400,7 @@ def _simulate_report(config: RunConfig) -> Report:
     seeds = _setting_seeds(config.seed, len(settings))
     estimates = [_estimate(s, config, seed) for s, seed in zip(settings, seeds)]
     analytic = [_analytic(est.setting, config.noise) for est in estimates]
-    entries = [_estimate_entry(est, a) for est, a in zip(estimates, analytic)]
+    entries = [_entry(est, n=est.n, analytic=a) for est, a in zip(estimates, analytic)]
     derived, verdict = _derive(test, estimates, analytic)
     return Report(_config_echo(config), entries, derived, verdict)
 
@@ -491,6 +490,12 @@ class ReplayRow:
     value: float
     sigma: float
 
+    @property
+    def setting(self) -> PhaseSetting:
+        """The row's phases in radians."""
+        phases = (self.phi_a, self.phi_b, self.phi_c)
+        return PhaseSetting(*(None if phi is None else phi * math.pi for phi in phases))
+
 
 def _parse_phase(text: str, line_number: int, column: str) -> float:
     value = _parse_float(text, line_number, column)
@@ -570,84 +575,54 @@ def _near(x: float, target: float) -> bool:
     return abs(x - target) <= 1e-9
 
 
-def _match_exp1(rows: list[ReplayRow]) -> list[ReplayRow]:
-    """Rows in report order, matched by their (phi_b, phi_c) pattern."""
-    patterns = [
-        (term.b_index * _HALF, term.c_index * _HALF) for term in TESTS["exp1"].report_terms()
-    ]
-    slots: dict[tuple[float, float], ReplayRow] = {}
-    for row in rows:
-        key = next(
-            (p for p in patterns if _near(row.phi_b, p[0]) and _near(row.phi_c, p[1])),
-            None,
-        )
-        if key is None:
-            raise FixtureParseError(
-                row.line_number,
-                "analyzer phases must pair 0 and 0.5 (units of pi); got "
-                f"phi_b={row.phi_b!r}, phi_c={row.phi_c!r}",
-            )
-        if key in slots:
-            raise FixtureParseError(
-                row.line_number, f"duplicate setting phi_b={key[0]}, phi_c={key[1]}"
-            )
-        slots[key] = row
-    if len(slots) != 4:
-        raise FixtureParseError(
-            rows[-1].line_number, f"expected four settings, found {len(slots)}"
-        )
-    return [slots[pattern] for pattern in patterns]
+def _grid_index(phi: float) -> int | None:
+    return 0 if _near(phi, 0.0) else 1 if _near(phi, _HALF) else None
 
 
-def _match_exp2(rows: list[ReplayRow]) -> list[ReplayRow]:
-    """Rows in report order; the first phi_a in the file is the CHSH a."""
-    if len(rows) != 4:
-        raise FixtureParseError(
-            rows[-1].line_number, f"expected four rows, found {len(rows)}"
-        )
+def _match(test: InequalityTest, rows: list[ReplayRow]) -> list[ReplayRow]:
+    """Rows in report order, one per term of ``test.report_terms()``.
+
+    A row's phi_b, and its phi_c if present, must be 0 or 0.5 (units of pi),
+    which gives its grid indices, and its term is the one with those
+    indices.  Where two terms share them, phi_a tells them apart: the
+    distinct phi_a values are numbered in file order, so the first is a."""
+    terms = test.report_terms()
+    by_key: dict[tuple[int, int | None], list[int]] = {}
+    for k, term in enumerate(terms):
+        by_key.setdefault((term.b_index, term.c_index), []).append(k)
     phi_a_values: list[float] = []
+    slots: dict[int, ReplayRow] = {}
     for row in rows:
-        if not (_near(row.phi_b, 0.0) or _near(row.phi_b, _HALF)):
+        b = _grid_index(row.phi_b)
+        c = None if row.phi_c is None else _grid_index(row.phi_c)
+        if b is None or (c is None and row.phi_c is not None):
+            got = f"phi_b={row.phi_b!r}" + ("" if row.phi_c is None else f", phi_c={row.phi_c!r}")
             raise FixtureParseError(
-                row.line_number,
-                f"phi_b must be 0 or 0.5 (units of pi), got {row.phi_b!r}",
+                row.line_number, f"analyzer phases must be 0 or 0.5 (units of pi); got {got}"
             )
-        if not any(_near(row.phi_a, seen) for seen in phi_a_values):
-            phi_a_values.append(row.phi_a)
-    if len(phi_a_values) != 2:
+        shared = by_key.get((b, c), [])
+        matched = shared
+        if len(shared) != 1:
+            seen = [i for i, phi_a in enumerate(phi_a_values) if _near(row.phi_a, phi_a)]
+            a = seen[0] if seen else len(phi_a_values)
+            if not seen:
+                phi_a_values.append(row.phi_a)
+            matched = [k for k in shared if terms[k].a_index == a]
+            if not matched:
+                raise FixtureParseError(
+                    row.line_number, f"expected {len(shared)} distinct phi_a values, found {a + 1}"
+                )
+        if matched[0] in slots:
+            setting = f"phi_b={b * _HALF}" + ("" if c is None else f", phi_c={c * _HALF}")
+            if len(shared) > 1:
+                setting = f"phi_a={row.phi_a}, {setting}"
+            raise FixtureParseError(row.line_number, f"duplicate setting {setting}")
+        slots[matched[0]] = row
+    if len(slots) != len(terms):
         raise FixtureParseError(
-            rows[-1].line_number,
-            f"expected two distinct phi_a values, found {len(phi_a_values)}",
+            rows[-1].line_number, f"expected {len(terms)} settings, found {len(slots)}"
         )
-    first, _ = phi_a_values
-    slots: dict[tuple[int, float], ReplayRow] = {}
-    for row in rows:
-        which = 0 if _near(row.phi_a, first) else 1
-        b = 0.0 if _near(row.phi_b, 0.0) else _HALF
-        key = (which, b)
-        if key in slots:
-            raise FixtureParseError(
-                row.line_number, f"duplicate setting phi_a={row.phi_a}, phi_b={b}"
-            )
-        slots[key] = row
-    return [
-        slots[(term.a_index, term.b_index * _HALF)] for term in TESTS["exp2"].report_terms()
-    ]
-
-
-def _replay_entry(row: ReplayRow) -> dict:
-    setting = PhaseSetting(
-        row.phi_a * math.pi,
-        row.phi_b * math.pi,
-        None if row.phi_c is None else row.phi_c * math.pi,
-    ).canonical()
-    return {
-        "phi_a": setting.phi_a,
-        "phi_b": setting.phi_b,
-        "phi_c": setting.phi_c,
-        "value": row.value,
-        "sigma": row.sigma,
-    }
+    return [slots[k] for k in range(len(terms))]
 
 
 def replay(path) -> Report:
@@ -657,17 +632,15 @@ def replay(path) -> Report:
     path and carries no seed."""
     rows = load_replay_rows(path)
     has_c = [row.phi_c is not None for row in rows]
-    if all(has_c):
-        experiment, ordered = "exp1", _match_exp1(rows)
-    elif not any(has_c):
-        experiment, ordered = "exp2", _match_exp2(rows)
-    else:
+    if len(set(has_c)) > 1:
         mixed = rows[has_c.index(not has_c[0])]
         raise FixtureParseError(
             mixed.line_number, "rows mix three-analyzer and event-ready settings"
         )
+    experiment = "exp1" if has_c[0] else "exp2"
+    ordered = _match(TESTS[experiment], rows)
     derived, verdict = _derive(TESTS[experiment], ordered, analytic=None)
-    entries = [_replay_entry(r) for r in ordered]
+    entries = [_entry(row) for row in ordered]
     config = {"mode": "replay", "experiment": experiment, "source": str(path)}
     return Report(config, entries, derived, verdict)
 

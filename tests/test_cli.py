@@ -276,8 +276,10 @@ def test_unit_visibility_exp1_says_outcomes_are_deterministic(tmp_path):
         (b"phi_a,phi_b,phi_c,E,sigma\n" + b"1" * 140000 + b",0,0,0.9,0.1\n", 2),
         (b"phi_a,phi_b,phi_c,E,sigma\n-0.72,0,,0.586,1e200\n", 2),
         (b"phi_a,phi_b,phi_c,E,sigma\n-0.72,0,,0.586,0.008\n1e308,0.5,,0.705,0.008\n", 3),
+        (b"phi_a,phi_b,phi_c,E,sigma\n0.46,0,0,0.885,0.005\n0.01,0,0,0.897,0.005\n", 3),
+        (b"phi_a,phi_b,phi_c,E,sigma\n-0.72,0,,0.586,0.008\n-0.72,0.25,,0.705,0.008\n", 3),
     ],
-    ids=["non-utf8", "huge-field", "huge-sigma", "huge-phase"],
+    ids=["non-utf8", "huge-field", "huge-sigma", "huge-phase", "duplicate-setting", "off-grid"],
 )
 def test_unusable_replay_input_exits_2_with_line_number(tmp_path, data, line):
     values = tmp_path / "values.csv"

@@ -62,7 +62,8 @@ def test_table_matches_scalar_wrappers_and_closed_forms(case):
         for p, outcome in zip(row, outcomes):
             assert abs(p - projected(outcome, setting)) <= 1e-12
             assert abs(p - closed(outcome, setting)) <= 1e-12
-        assert abs(e_batched - correlation(setting)) <= 1e-12
+        # bit-identical: a setting's correlation must not depend on its batch
+        assert e_batched == correlation(setting)
         assert abs(e_batched - math.sin(setting.phase_sum())) <= 1e-12
         assert type(e_batched) is float
 

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +295,24 @@ def test_run_config_rejects_non_integer_trials_and_seed(field, value):
         exp1_config(**{field: value})
 
 
+_FIXTURE_ROWS = {
+    "exp1": (FIXTURES / "exp1_reference.csv").read_text().splitlines()[1:],
+    "exp2": (FIXTURES / "exp2_reference.csv").read_text().splitlines()[1:],
+}
+
+
+def _with_field(rows, row, column, text):
+    fields = rows[row].split(",")
+    fields[column] = text
+    return rows[:row] + [",".join(fields)] + rows[row + 1:]
+
+
+def _edit(rows, edits):
+    for row, column, text in edits:
+        rows = _with_field(rows, row, column, text)
+    return rows
+
+
 def test_replay_exp1_reference_values():
     report = replay(FIXTURES / "exp1_reference.csv")
     derived = report.derived
@@ -317,16 +337,28 @@ def test_replay_exp2_reference_values():
 
 
 def test_replay_row_order_does_not_matter(tmp_path):
+    """Every order of the exp1 rows, and every order of the exp2 rows that
+    keeps the fixture's first phi_a (the CHSH a) first, replays to the
+    fixture's JSON."""
     scrambled = tmp_path / "scrambled.csv"
-    scrambled.write_text(
-        "phi_a,phi_b,phi_c,E,sigma\n"
-        "0.46,0.5,0.5,-0.885,0.005\n"
-        "0.01,0,0.5,0.884,0.005\n"
-        "0.46,0,0,0.885,0.005\n"
-        "0.01,0.5,0,0.897,0.005\n"
-    )
-    report = replay(scrambled)
-    assert report.derived["nchv_lower_bound"] == pytest.approx(0.666, abs=1e-9)
+
+    def json_text(report):
+        return report_json_text(replace(report, config={**report.config, "source": ""}))
+
+    for name, rows in _FIXTURE_ROWS.items():
+        expected = json_text(replay(FIXTURES / f"{name}_reference.csv"))
+        first_a = rows[0].split(",")[0]
+        orders = [
+            order for order in itertools.permutations(rows)
+            if name == "exp1" or order[0].split(",")[0] == first_a
+        ]
+        assert len(orders) == {"exp1": 24, "exp2": 12}[name]
+        for order in orders:
+            scrambled.write_text("phi_a,phi_b,phi_c,E,sigma\n" + "\n".join(order) + "\n")
+            report = replay(scrambled)
+            assert json_text(report) == expected, order
+            if name == "exp1":
+                assert report.derived["nchv_lower_bound"] == pytest.approx(0.666, abs=1e-9)
 
 
 def test_replay_parse_errors_carry_line_numbers(tmp_path):
@@ -530,18 +562,6 @@ def test_replay_rejects_correlations_outside_unit_interval(tmp_path, text):
     assert "outside [-1, 1]" in str(excinfo.value)
 
 
-_FIXTURE_ROWS = {
-    "exp1": (FIXTURES / "exp1_reference.csv").read_text().splitlines()[1:],
-    "exp2": (FIXTURES / "exp2_reference.csv").read_text().splitlines()[1:],
-}
-
-
-def _with_field(rows, row, column, text):
-    fields = rows[row].split(",")
-    fields[column] = text
-    return rows[:row] + [",".join(fields)] + rows[row + 1:]
-
-
 @pytest.mark.parametrize(
     "experiment, row, column, text, message",
     [
@@ -550,12 +570,42 @@ def _with_field(rows, row, column, text):
         ("exp1", 1, 4, "1e200", "above 1"),
         ("exp2", 2, 4, "1.0000001", "above 1"),
         ("exp1", 1, 0, "1" * 140000, "unreadable CSV"),
+        # Matcher faults.  exp1 terms differ in (phi_b, phi_c) alone, so a
+        # count of distinct phi_a is no fault there; an exp2 row with a
+        # phi_c makes a mixed file (test_replay_parse_errors_carry_line_numbers).
+        pytest.param("exp1", 2, 1, "0.3", "must be 0 or 0.5 (units of pi); got phi_b=0.3",
+                     id="exp1-off-grid-phi_b"),
+        pytest.param("exp1", 3, 2, "0.25", "got phi_b=0.5, phi_c=0.25", id="exp1-off-grid-phi_c"),
+        pytest.param("exp1", 1, 1, "0", "duplicate setting phi_b=0.0, phi_c=0.0",
+                     id="exp1-duplicate"),
+        pytest.param("exp1", 2, None, _FIXTURE_ROWS["exp1"][:3], "expected 4 settings, found 3",
+                     id="exp1-missing-row"),
+        pytest.param("exp1", 4, None, _FIXTURE_ROWS["exp1"] + _FIXTURE_ROWS["exp1"][1:2],
+                     "duplicate setting phi_b=0.5, phi_c=0.0", id="exp1-extra-row"),
+        pytest.param("exp2", 1, 1, "1", "must be 0 or 0.5 (units of pi); got phi_b=1.0",
+                     id="exp2-off-grid-phi_b"),
+        pytest.param("exp2", 3, 1, "0.5", "duplicate setting phi_a=0.75, phi_b=0.5",
+                     id="exp2-duplicate"),
+        pytest.param("exp2", 2, None, _FIXTURE_ROWS["exp2"][:3], "expected 4 settings, found 3",
+                     id="exp2-missing-row"),
+        pytest.param("exp2", 4, None, _FIXTURE_ROWS["exp2"] + _FIXTURE_ROWS["exp2"][:1],
+                     "duplicate setting phi_a=-0.72, phi_b=0.0", id="exp2-extra-row"),
+        pytest.param("exp2", 2, None, _edit(_FIXTURE_ROWS["exp2"], [(2, 0, "-0.72"), (3, 0, "-0.72")]),
+                     "duplicate setting phi_a=-0.72, phi_b=0.5", id="exp2-one-phi_a"),
+        pytest.param("exp2", 3, 0, "0.1", "expected 2 distinct phi_a values, found 3",
+                     id="exp2-three-phi_a"),
     ],
 )
 def test_replay_rejects_unusable_fields_with_line_numbers(
     tmp_path, experiment, row, column, text, message
 ):
-    rows = _with_field(_FIXTURE_ROWS[experiment], row, column, text)
+    """Field ``column`` of fixture row ``row`` becomes ``text``, or, where
+    ``column`` is None, ``text`` holds every data row; the error names the
+    line of data row ``row``."""
+    if column is None:
+        rows = text
+    else:
+        rows = _with_field(_FIXTURE_ROWS[experiment], row, column, text)
     path = tmp_path / "values.csv"
     path.write_text("phi_a,phi_b,phi_c,E,sigma\n" + "\n".join(rows) + "\n")
     with pytest.raises(FixtureParseError) as excinfo:
@@ -612,12 +662,6 @@ _FIXTURE_BYTES = st.tuples(
         + "\n"
     ).encode()
 )
-
-
-def _edit(rows, edits):
-    for row, column, text in edits:
-        rows = _with_field(rows, row, column, text)
-    return rows
 
 
 # Edited fixtures, random rows, raw bytes, and either with raw bytes spliced in.
