@@ -32,7 +32,6 @@ from .montecarlo import (
     sample_counts,
 )
 from .nchv import (
-    DETECTION_EFFICIENCY_THRESHOLD,
     Ensemble,
     HiddenAssignment,
     PhaseGrid,

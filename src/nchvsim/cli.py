@@ -295,10 +295,6 @@ def _run_threshold(args) -> int:
         f"(classical bound {result['classical_bound']:g}, resolution "
         f"{result['resolution']:g})"
     )
-    print(
-        "quoted detection-efficiency threshold at unit visibility: "
-        f"{result['efficiency_threshold_quoted']:.6f}"
-    )
     return 0
 
 

@@ -21,10 +21,6 @@ from .errors import EnumerationLimitError, ValidationError
 # enumerate.  2**24 deterministic models is the supported ceiling.
 MAX_ENUMERATION_BITS = 24
 
-# Detection-efficiency threshold at perfect visibility for tests of this
-# class.  Quoted constant; no derivation is implemented here.
-DETECTION_EFFICIENCY_THRESHOLD = math.sqrt(2.0) / 2.0
-
 
 def _check_phases(name: str, phases: tuple[float, ...]):
     for phi in phases:

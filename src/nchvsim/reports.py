@@ -28,7 +28,6 @@ from .montecarlo import (
     sample_counts,
 )
 from .nchv import (
-    DETECTION_EFFICIENCY_THRESHOLD,
     ExpressionTerm,
     PhaseGrid,
     chsh_expression,
@@ -465,7 +464,6 @@ def threshold_study(expression: str, resolution: float = 1e-4) -> dict:
         "quantum_value_at_unit_visibility": amplitude,
         "threshold_visibility": _grid_threshold(amplitude, limit, resolution),
         "resolution": resolution,
-        "efficiency_threshold_quoted": DETECTION_EFFICIENCY_THRESHOLD,
     }
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from nchvsim.errors import EnumerationLimitError, ValidationError
 from nchvsim.nchv import (
-    DETECTION_EFFICIENCY_THRESHOLD,
     Ensemble,
     ExpressionTerm,
     HiddenAssignment,
@@ -277,10 +276,6 @@ def test_forced_product_contradicts_quantum_fourth_correlation():
 
     quantum = correlation_qm3(PhaseSetting(HALF_PI, HALF_PI, HALF_PI))
     assert quantum == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_quoted_efficiency_threshold_value():
-    assert DETECTION_EFFICIENCY_THRESHOLD == pytest.approx(math.sqrt(2.0) / 2.0, abs=0.0)
 
 
 _UNIT = st.floats(-1.0, 1.0)

@@ -13,7 +13,6 @@ from nchvsim.errors import EstimationError, FixtureParseError, ValidationError
 from nchvsim.experiment import PhaseSetting, correlation_qm2, correlation_qm3
 from nchvsim.montecarlo import NoiseModel
 from nchvsim.nchv import (
-    DETECTION_EFFICIENCY_THRESHOLD,
     PhaseGrid,
     chsh_expression,
     classical_bound,
@@ -458,9 +457,6 @@ def test_threshold_study_values():
     assert chsh["quantum_value_at_unit_visibility"] == pytest.approx(
         2.0 * math.sqrt(2.0), abs=1e-12
     )
-    assert chsh["efficiency_threshold_quoted"] == pytest.approx(
-        math.sqrt(2.0) / 2.0, abs=0.0
-    )
 
 
 def test_threshold_study_resolution_controls_granularity():
@@ -510,7 +506,6 @@ def _grid_scan_study(expression, resolution):
         "quantum_value_at_unit_visibility": float(amplitude),
         "threshold_visibility": _grid_scan(amplitude, limit, resolution),
         "resolution": resolution,
-        "efficiency_threshold_quoted": DETECTION_EFFICIENCY_THRESHOLD,
     }
 
 
