@@ -583,13 +583,15 @@ def _match(test: InequalityTest, rows: list[ReplayRow]) -> list[ReplayRow]:
     A row's phi_b, and its phi_c if present, must be 0 or 0.5 (units of pi),
     which gives its grid indices, and its term is the one with those
     indices.  Where two terms share them, phi_a tells them apart: the
-    distinct phi_a values are numbered in file order, so the first is a."""
+    distinct phi_a values are numbered in file order, so the first is a.
+    Rows whose terms read the same a phase must give the same phi_a."""
     terms = test.report_terms()
     by_key: dict[tuple[int, int | None], list[int]] = {}
     for k, term in enumerate(terms):
         by_key.setdefault((term.b_index, term.c_index), []).append(k)
     phi_a_values: list[float] = []
     slots: dict[int, ReplayRow] = {}
+    a_rows: dict[int, ReplayRow] = {}  # first row read at each a index
     for row in rows:
         b = _grid_index(row.phi_b)
         c = None if row.phi_c is None else _grid_index(row.phi_c)
@@ -615,6 +617,13 @@ def _match(test: InequalityTest, rows: list[ReplayRow]) -> list[ReplayRow]:
             if len(shared) > 1:
                 setting = f"phi_a={row.phi_a}, {setting}"
             raise FixtureParseError(row.line_number, f"duplicate setting {setting}")
+        first = a_rows.setdefault(terms[matched[0]].a_index, row)
+        if not _near(row.phi_a, first.phi_a):
+            raise FixtureParseError(
+                row.line_number,
+                f"phi_a={row.phi_a} differs from phi_a={first.phi_a} on line "
+                f"{first.line_number}, which sets the same analyzer A phase",
+            )
         slots[matched[0]] = row
     if len(slots) != len(terms):
         raise FixtureParseError(

@@ -278,8 +278,11 @@ def test_unit_visibility_exp1_says_outcomes_are_deterministic(tmp_path):
         (b"phi_a,phi_b,phi_c,E,sigma\n-0.72,0,,0.586,0.008\n1e308,0.5,,0.705,0.008\n", 3),
         (b"phi_a,phi_b,phi_c,E,sigma\n0.46,0,0,0.885,0.005\n0.01,0,0,0.897,0.005\n", 3),
         (b"phi_a,phi_b,phi_c,E,sigma\n-0.72,0,,0.586,0.008\n-0.72,0.25,,0.705,0.008\n", 3),
+        (b"phi_a,phi_b,phi_c,E,sigma\n0.1,0,0,0.885,0.005\n0.2,0.5,0,0.897,0.005\n"
+         b"0.3,0,0.5,0.884,0.005\n0.4,0.5,0.5,-0.885,0.005\n", 4),
     ],
-    ids=["non-utf8", "huge-field", "huge-sigma", "huge-phase", "duplicate-setting", "off-grid"],
+    ids=["non-utf8", "huge-field", "huge-sigma", "huge-phase", "duplicate-setting", "off-grid",
+         "unshared-phi-a"],
 )
 def test_unusable_replay_input_exits_2_with_line_number(tmp_path, data, line):
     values = tmp_path / "values.csv"

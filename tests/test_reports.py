@@ -360,6 +360,39 @@ def test_replay_row_order_does_not_matter(tmp_path):
                 assert report.derived["nchv_lower_bound"] == pytest.approx(0.666, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "phi_a, line",
+    [(("0.1", "0.2", "0.3", "0.4"), 4), (("0.46", "0.01", "0.01", "0.47"), 5)],
+)
+def test_replay_rejects_exp1_rows_whose_shared_a_phase_differs(tmp_path, phi_a, line):
+    """The (0, 0) and (0.5, 0.5) Mermin rows read one A phase and the other
+    two rows another, so each pair must give one phi_a."""
+    rows = [",".join((a, *row.split(",")[1:])) for a, row in zip(phi_a, _FIXTURE_ROWS["exp1"])]
+    path = tmp_path / "values.csv"
+    path.write_text("phi_a,phi_b,phi_c,E,sigma\n" + "\n".join(rows) + "\n")
+    with pytest.raises(FixtureParseError) as excinfo:
+        replay(path)
+    assert excinfo.value.line_number == line
+    assert "phi_a=" in str(excinfo.value)
+
+
+def test_replay_accepts_one_shift_per_phi_a_value(tmp_path):
+    """Moving all rows of one phi_a value by the same amount keeps the rows
+    of each A phase together, so every row keeps its term."""
+    path = tmp_path / "values.csv"
+    for name, rows in _FIXTURE_ROWS.items():
+        expected = replay(FIXTURES / f"{name}_reference.csv").derived
+        for shift in (0.02, -0.013, 0.25):
+            moved = {}
+            lines = []
+            for row in rows:
+                phi_a, rest = row.split(",", 1)
+                moved.setdefault(phi_a, repr(float(phi_a) + shift * (len(moved) + 1)))
+                lines.append(f"{moved[phi_a]},{rest}")
+            path.write_text("phi_a,phi_b,phi_c,E,sigma\n" + "\n".join(lines) + "\n")
+            assert replay(path).derived == expected
+
+
 def test_replay_parse_errors_carry_line_numbers(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
