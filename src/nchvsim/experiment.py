@@ -21,15 +21,20 @@ analyzers gives ``E(A,B) = sin(phi_a + phi_b)``.
 
 Every probability here is computed by projecting the state onto analyzer
 eigenstates.  The states and the analyzer bras are written out below as
-literal arrays, with their derivation in comments; one ``einsum`` over
-them gives all 2**k outcome probabilities of N settings.  Closed-form
-counterparts are provided separately so tests can confront the two
-routes.
+literal arrays, with their derivation in comments.  Each bra is a
+phase-free part plus a part times z = e^{-i phi}, so every amplitude is a
+polynomial in the z of the k analyzers; its (2**k, 2**k) coefficients are
+contracted from the literal arrays once, at import.  A projection then
+forms the 2**k products of the z and multiplies them into that table.
+A single setting's probabilities and correlation are kept as Python
+floats for the per-outcome functions.  Closed-form counterparts are
+provided separately so tests can confront the two routes.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -160,14 +165,49 @@ class _Route(NamedTuple):
     phased: np.ndarray  # (k, 2, 2): sign/sqrt(2) where a bra carries e^{-i phase}
     subscripts: str
     products: np.ndarray  # A*B(*C) of each outcome, in outcome order
+    coefficients: np.ndarray  # (2**k, 2**k): see _precontract
+
+
+def _precontract(state, fixed, phased, subscripts) -> np.ndarray:
+    """Amplitude coefficients of each phase monomial, shape (2**k, 2**k).
+
+    Each bra is ``fixed + phased * z`` with z = e^{-i phase}, so every
+    amplitude is a polynomial in (z_A, z_B[, z_C]) of degree at most one in
+    each.  Row m holds the coefficients of the monomial prod_{j in S} z_j,
+    where bit k-1-j of m puts analyzer j in S (A is the high bit), over the
+    outcomes in outcome order: the state contracted with the phased
+    component of the analyzers in S and the phase-free one of the rest."""
+    k = len(fixed)
+    subscripts = subscripts.replace("n", "")
+    rows = []
+    for chosen in itertools.product((False, True), repeat=k):
+        bras = (phased[j] if pick else fixed[j] for j, pick in enumerate(chosen))
+        rows.append(np.einsum(subscripts, *bras, state).reshape(-1))
+    return np.array(rows)
+
+
+def _route(state, fixed, phased, subscripts, outcomes) -> _Route:
+    products = np.array([o.product() for o in outcomes], dtype=np.float64)
+    return _Route(state, fixed, phased, subscripts, products,
+                  _precontract(state, fixed, phased, subscripts))
 
 
 _ROUTES = {
-    3: _Route(_GHZ, _FIXED[:3], _PHASED[:3], "nax,nby,ncz,xyz->nabc",
-              np.array([o.product() for o in TRIPLE_OUTCOMES], dtype=np.float64)),
-    2: _Route(_EVENTREADY, _FIXED[[3, 1]], _PHASED[[3, 1]], "nax,nby,xy->nab",
-              np.array([o.product() for o in PAIR_OUTCOMES], dtype=np.float64)),
+    3: _route(_GHZ, _FIXED[:3], _PHASED[:3], "nax,nby,ncz,xyz->nabc", TRIPLE_OUTCOMES),
+    2: _route(_EVENTREADY, _FIXED[[3, 1]], _PHASED[[3, 1]], "nax,nby,xy->nab", PAIR_OUTCOMES),
 }
+
+# Column of each outcome's (a, b, c) signs in a setting's probabilities;
+# pair outcomes have c = None.
+_COLUMNS = {
+    (o.a, o.b, o.c): column
+    for outcomes in (TRIPLE_OUTCOMES, PAIR_OUTCOMES)
+    for column, o in enumerate(outcomes)
+}
+
+# (0, -i): e^{phase * _EXPONENTS} is (1, e^{-i phase}), the two factors an
+# analyzer contributes to the phase monomials.
+_EXPONENTS = np.array([0.0, -1.0j])
 
 
 def _require_triple(setting: PhaseSetting, outcome: Outcome | None = None):
@@ -181,7 +221,7 @@ def joint_probability(outcome: Outcome, setting: PhaseSetting) -> float:
     """Triple-coincidence probability by explicit eigenstate projection."""
     _require_triple(setting, outcome)
     table = _setting_table(3, (setting.phi_a, setting.phi_b, setting.phi_c))
-    return float(table[0, _outcome_index(outcome)])
+    return table.probabilities[_COLUMNS[outcome.a, outcome.b, outcome.c]]
 
 
 def joint_probability_closed_form(outcome: Outcome, setting: PhaseSetting) -> float:
@@ -194,8 +234,7 @@ def joint_probability_closed_form(outcome: Outcome, setting: PhaseSetting) -> fl
 def correlation_qm3(setting: PhaseSetting) -> float:
     """Expectation of the A*B*C product, summed over all eight outcomes."""
     _require_triple(setting)
-    table = _setting_table(3, (setting.phi_a, setting.phi_b, setting.phi_c))
-    return _expectations(3, table).item()
+    return _setting_table(3, (setting.phi_a, setting.phi_b, setting.phi_c)).correlation
 
 
 def eventready_state() -> np.ndarray:
@@ -215,12 +254,9 @@ def conditional_state_after_trigger() -> np.ndarray:
     return (photon1 / np.linalg.norm(photon1)).reshape(4)
 
 
-def _bras(n_analyzers: int, phases) -> np.ndarray:
-    """Conjugated analyzer eigenstates at N settings, shape (N, k, 2, 2):
-    setting, analyzer (A, B[, C]), sign (+1, -1), basis index on that
-    analyzer's axis of the state."""
-    route = _ROUTES.get(n_analyzers)
-    if route is None:
+def _phase_array(n_analyzers: int, phases) -> np.ndarray:
+    """``phases`` as a finite float array of shape (N >= 1, k)."""
+    if n_analyzers not in _ROUTES:
         raise ValidationError(f"the number of analyzers must be 2 or 3, got {n_analyzers!r}")
     phases = np.asarray(phases, dtype=np.float64)
     if phases.ndim != 2 or phases.shape[0] < 1 or phases.shape[1] != n_analyzers:
@@ -229,6 +265,17 @@ def _bras(n_analyzers: int, phases) -> np.ndarray:
         )
     if not np.isfinite(phases).all():
         raise ValidationError("phases must be finite")
+    return phases
+
+
+def _bras(n_analyzers: int, phases) -> np.ndarray:
+    """Conjugated analyzer eigenstates at N settings, shape (N, k, 2, 2):
+    setting, analyzer (A, B[, C]), sign (+1, -1), basis index on that
+    analyzer's axis of the state.  Contracted with the state by
+    ``_Route.subscripts`` they give the amplitudes that ``_outcome_table``
+    reads from the precontracted coefficients instead."""
+    phases = _phase_array(n_analyzers, phases)
+    route = _ROUTES[n_analyzers]
     return route.fixed + route.phased * np.exp(-1j * phases)[:, :, None, None]
 
 
@@ -237,42 +284,26 @@ def _outcome_table(n_analyzers: int, phases) -> np.ndarray:
 
     ``phases`` has shape (N, k) with columns (phi_a, phi_b[, phi_c]); the
     result has shape (N, 2**k) with columns in ``TRIPLE_OUTCOMES`` (k = 3)
-    or ``PAIR_OUTCOMES`` (k = 2) order.  This is the only projection code:
-    every probability and correlation of this module reads its table."""
-    bras = _bras(n_analyzers, phases)
-    route = _ROUTES[n_analyzers]
-    amplitudes = np.einsum(
-        route.subscripts, *(bras[:, j] for j in range(n_analyzers)), route.state
-    )
+    or ``PAIR_OUTCOMES`` (k = 2) order.  Every probability and correlation
+    of this module comes from ``_project``, which this checks the input of."""
+    phases = _phase_array(n_analyzers, phases)
+    return _project(_ROUTES[n_analyzers], phases)
+
+
+def _project(route: _Route, phases) -> np.ndarray:
+    """The only projection code: ``_outcome_table`` on checked phases.
+
+    Each row is computed on its own, so a setting's probabilities do not
+    depend on the other settings of its batch."""
+    n, k = phases.shape
+    factors = np.exp(phases[:, :, None] * _EXPONENTS)  # (N, k, 2): (1, z_j)
+    monomials = factors[:, 0]
+    for j in range(1, k):
+        monomials = (monomials[:, :, None] * factors[:, j, None, :]).reshape(n, -1)
+    amplitudes = monomials @ route.coefficients
     # hypot rather than np.abs or amplitude * conj: those round differently,
     # and the threshold study prints sums of these values in full.
-    return np.square(np.hypot(amplitudes.real, amplitudes.imag)).reshape(len(bras), -1)
-
-
-# The per-outcome functions are called once per outcome of one setting, and
-# callers check a triple and a pair side by side, so the last two tables
-# projected are kept.
-_SETTING_TABLES = 2
-
-
-@functools.lru_cache(maxsize=_SETTING_TABLES)
-def _setting_table(n_analyzers: int, phases: tuple) -> np.ndarray:
-    """Read-only ``_outcome_table`` of one setting, shape (1, 2**k).
-
-    Phases that compare equal give bit-identical tables (0.0 and -0.0, 1
-    and 1.0), so sharing their cache entry changes no probability."""
-    table = _outcome_table(n_analyzers, [phases])
-    table.flags.writeable = False
-    return table
-
-
-def _outcome_index(outcome: Outcome) -> int:
-    """Position of ``outcome`` in ``TRIPLE_OUTCOMES`` or ``PAIR_OUTCOMES``."""
-    index = 0
-    for sign in (outcome.a, outcome.b, outcome.c):
-        if sign is not None:
-            index = 2 * index + (sign == -1)
-    return index
+    return np.square(np.hypot(amplitudes.real, amplitudes.imag))
 
 
 def _expectations(n_analyzers: int, table: np.ndarray) -> np.ndarray:
@@ -287,6 +318,32 @@ def _correlations(n_analyzers: int, phases) -> list[float]:
     return _expectations(n_analyzers, _outcome_table(n_analyzers, phases)).tolist()
 
 
+# The per-outcome functions are called once per outcome of one setting, and
+# callers check a triple and a pair side by side, so the last two settings
+# projected are kept.
+_SETTING_TABLES = 2
+
+
+class _SettingTable(NamedTuple):
+    """One setting's projection as Python floats."""
+
+    probabilities: tuple[float, ...]  # in outcome order, see _COLUMNS
+    correlation: float
+
+
+@functools.lru_cache(maxsize=_SETTING_TABLES)
+def _setting_table(n_analyzers: int, phases: tuple) -> _SettingTable:
+    """Row of ``_outcome_table`` for one setting, and its correlation; both
+    equal the batched route's values bit for bit.
+
+    Phases that compare equal give bit-identical tables (0.0 and -0.0, 1
+    and 1.0), so sharing their cache entry changes no probability."""
+    if len(phases) != n_analyzers or not all(map(math.isfinite, phases)):
+        raise ValidationError(f"expected {n_analyzers} finite phases, got {phases!r}")
+    table = _project(_ROUTES[n_analyzers], np.array([phases], dtype=np.float64))
+    return _SettingTable(tuple(table[0].tolist()), _expectations(n_analyzers, table).item())
+
+
 def _require_pair(setting: PhaseSetting, outcome: Outcome | None = None):
     if setting.phi_c is not None:
         raise ValidationError("event-ready settings carry no phi_c")
@@ -298,7 +355,7 @@ def joint_probability_eventready(outcome: Outcome, setting: PhaseSetting) -> flo
     """Conditioned pair probability by eigenstate projection."""
     _require_pair(setting, outcome)
     table = _setting_table(2, (setting.phi_a, setting.phi_b))
-    return float(table[0, _outcome_index(outcome)])
+    return table.probabilities[_COLUMNS[outcome.a, outcome.b, None]]
 
 
 def joint_probability_eventready_closed_form(outcome: Outcome, setting: PhaseSetting) -> float:
@@ -310,8 +367,7 @@ def joint_probability_eventready_closed_form(outcome: Outcome, setting: PhaseSet
 def correlation_qm2(setting: PhaseSetting) -> float:
     """Expectation of the A*B product in the event-ready configuration."""
     _require_pair(setting)
-    table = _setting_table(2, (setting.phi_a, setting.phi_b))
-    return _expectations(2, table).item()
+    return _setting_table(2, (setting.phi_a, setting.phi_b)).correlation
 
 
 def correlations(settings) -> list[float]:

@@ -172,27 +172,39 @@ def ghz_forcing(c1: int, c2: int, c3: int) -> int:
     return c1 * c2 * c3
 
 
+# Every assignment (a0, a1, b0, b1, c0, c1) of the {0, pi/2}^3 grid, index 0
+# at phase 0 and 1 at pi/2.
+_GHZ_ASSIGNMENTS = tuple(itertools.product((+1, -1), repeat=6))
+
+
+def _forced_products() -> dict[tuple[int, int, int], frozenset[int]]:
+    """The fourth product a1*b1*c1 of every assignment, grouped by the
+    three constraint products (a0*b0*c1, a0*b1*c0, a1*b0*c0) it meets."""
+    forced: dict[tuple[int, int, int], set[int]] = {}
+    for a0, a1, b0, b1, c0, c1 in _GHZ_ASSIGNMENTS:
+        constraints = (a0 * b0 * c1, a0 * b1 * c0, a1 * b0 * c0)
+        forced.setdefault(constraints, set()).add(a1 * b1 * c1)
+    return {constraints: frozenset(products) for constraints, products in forced.items()}
+
+
+_FORCED_PRODUCTS = _forced_products()
+
+
 def ghz_forcing_enumerated(c1: int, c2: int, c3: int) -> int:
-    """Same forced product, found by filtering all 64 assignments on the
-    {0, pi/2}^3 grid.  Raises if the surviving set were not unanimous."""
+    """Same forced product, found by enumeration: all 64 assignments on the
+    {0, pi/2}^3 grid are enumerated once, at import, and grouped by the
+    constraints they meet; this looks up the products of the assignments
+    that meet (c1, c2, c3).  Raises if they were not unanimous."""
     _check_constraint(c1)
     _check_constraint(c2)
     _check_constraint(c3)
-    products = set()
-    for bits in itertools.product((+1, -1), repeat=6):
-        a0, a1, b0, b1, cc0, cc1 = bits
-        if a0 * b0 * cc1 != c1:
-            continue
-        if a0 * b1 * cc0 != c2:
-            continue
-        if a1 * b0 * cc0 != c3:
-            continue
-        products.add(a1 * b1 * cc1)
+    products = _FORCED_PRODUCTS[c1, c2, c3]
     if len(products) != 1:
         raise ValidationError(
             f"constraints ({c1}, {c2}, {c3}) do not force a unique product"
         )
-    return products.pop()
+    (product,) = products
+    return product
 
 
 @dataclass(frozen=True)
@@ -210,25 +222,30 @@ class ExpressionTerm:
             raise ValidationError(f"term sign must be +1 or -1, got {self.sign!r}")
 
 
+_CHSH = (
+    ExpressionTerm(+1, 0, 0),
+    ExpressionTerm(+1, 0, 1),
+    ExpressionTerm(+1, 1, 1),
+    ExpressionTerm(-1, 1, 0),
+)
+
+_MERMIN = (
+    ExpressionTerm(+1, 0, 1, 1),
+    ExpressionTerm(-1, 0, 0, 0),
+    ExpressionTerm(-1, 1, 1, 0),
+    ExpressionTerm(-1, 1, 0, 1),
+)
+
+
 def chsh_expression() -> tuple[ExpressionTerm, ...]:
     """E(a0,b0) + E(a0,b1) + E(a1,b1) - E(a1,b0) on a 2x2 grid."""
-    return (
-        ExpressionTerm(+1, 0, 0),
-        ExpressionTerm(+1, 0, 1),
-        ExpressionTerm(+1, 1, 1),
-        ExpressionTerm(-1, 1, 0),
-    )
+    return _CHSH
 
 
 def mermin_expression() -> tuple[ExpressionTerm, ...]:
     """E(a0,b1,c1) - E(a0,b0,c0) - E(a1,b1,c0) - E(a1,b0,c1) on a 2x2x2
     grid."""
-    return (
-        ExpressionTerm(+1, 0, 1, 1),
-        ExpressionTerm(-1, 0, 0, 0),
-        ExpressionTerm(-1, 1, 1, 0),
-        ExpressionTerm(-1, 1, 0, 1),
-    )
+    return _MERMIN
 
 
 def _sign_matrix(n: int) -> np.ndarray:
@@ -280,16 +297,23 @@ def classical_bound(
     # sums those that read its k-th read phase.
     acc = np.zeros((signs.shape[0], 1 + len(used[free])), dtype=np.int64)
     for term, indices in zip(expression, reads):
-        product = np.full(signs.shape[0], term.sign, dtype=np.int8)
-        if indices[enum1] is not None:
-            product *= signs[:, used[enum1][indices[enum1]]]
-        if indices[enum2] is not None:
-            product *= signs[:, offset2 + used[enum2][indices[enum2]]]
+        columns = [signs[:, offset + used[block][indices[block]]]
+                   for block, offset in ((enum1, 0), (enum2, offset2))
+                   if indices[block] is not None]
+        if len(columns) == 2:
+            product = columns[0] * columns[1]
+        else:
+            product = columns[0] if columns else 1
         k = indices[free]
-        acc[:, 0 if k is None else 1 + used[free][k]] += product
-    # Free the signs and take |.| in place rather than in a copy of acc, so
-    # an expression that reads every phase peaks near acc's own size.
-    del signs
+        column = acc[:, 0 if k is None else 1 + used[free][k]]
+        if term.sign > 0:
+            column += product
+        else:
+            column -= product
+    # Free the signs (the last term's columns are views of them) and take
+    # |.| in place rather than in a copy of acc, so an expression that reads
+    # every phase peaks near acc's own size.
+    del signs, columns, product
     np.abs(acc[:, 1:], out=acc[:, 1:])
     return float(acc.sum(axis=1).max())
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from nchvsim.errors import EnumerationLimitError, ValidationError
 from nchvsim.nchv import (
+    _FORCED_PRODUCTS,
+    _GHZ_ASSIGNMENTS,
     Ensemble,
     ExpressionTerm,
     HiddenAssignment,
@@ -123,6 +125,13 @@ def test_ghz_forcing_is_constraint_product(constraints, expected):
 def test_ghz_forcing_agrees_with_enumeration_everywhere():
     for constraints in itertools.product((+1, -1), repeat=3):
         assert ghz_forcing(*constraints) == ghz_forcing_enumerated(*constraints)
+
+
+def test_forcing_map_groups_all_64_assignments_under_8_constraint_triples():
+    assert len(_GHZ_ASSIGNMENTS) == len(set(_GHZ_ASSIGNMENTS)) == 64
+    assert sorted(_FORCED_PRODUCTS) == sorted(itertools.product((+1, -1), repeat=3))
+    for constraints, products in _FORCED_PRODUCTS.items():
+        assert products == {ghz_forcing(*constraints)}
 
 
 def test_ghz_forcing_rejects_non_dichotomic_input():

@@ -14,6 +14,7 @@ from nchvsim.experiment import (
     PAIR_OUTCOMES,
     TRIPLE_OUTCOMES,
     PhaseSetting,
+    _ROUTES,
     _SETTING_TABLES,
     _bras,
     _correlations,
@@ -79,6 +80,32 @@ def test_table_rows_are_distributions_with_uniform_marginals(case):
     for axis in range(1, k + 1):
         others = tuple(a for a in range(1, k + 1) if a != axis)
         assert np.max(np.abs(by_analyzer.sum(axis=others) - 0.5)) <= 1e-12
+
+
+def _einsum_table(k, phases):
+    """Reference route: contract the state with the bras at each setting."""
+    bras = _bras(k, phases)
+    amplitudes = np.einsum(
+        _ROUTES[k].subscripts, *(bras[:, j] for j in range(k)), _ROUTES[k].state
+    )
+    return np.square(np.abs(amplitudes)).reshape(len(bras), -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.sampled_from((2, 3)),
+    n=st.integers(1, 50),
+    data=st.data(),
+)
+def test_precontracted_table_matches_the_einsum_over_bras(k, n, data):
+    phase = st.one_of(
+        st.floats(-1e6, 1e6, allow_nan=False),
+        st.floats(-FOUR_PI, FOUR_PI, allow_nan=False),
+        st.sampled_from((0.0, -0.0, 1e6, -1e6)),
+    )
+    phases = np.array(data.draw(st.lists(st.lists(phase, min_size=k, max_size=k),
+                                         min_size=n, max_size=n)))
+    assert np.max(np.abs(_outcome_table(k, phases) - _einsum_table(k, phases))) <= 1e-15
 
 
 def _kets_by_formula(k, phase, sign):
@@ -187,9 +214,12 @@ def test_per_setting_functions_equal_a_fresh_projection(calls, cold):
 
 def test_setting_table_is_read_only_and_bounded():
     table = _setting_table(3, (0.1, 0.2, 0.3))
-    assert not table.flags.writeable
-    with pytest.raises(ValueError):
-        table[0, 0] = 1.0
+    assert type(table.probabilities) is tuple
+    assert all(type(p) is float for p in table.probabilities)
+    with pytest.raises(AttributeError):
+        table.correlation = 1.0
+    with pytest.raises(TypeError):
+        table.probabilities[0] = 1.0
     assert _setting_table.cache_info().maxsize == _SETTING_TABLES
 
 
