@@ -32,17 +32,11 @@ from .montecarlo import (
     sample_counts,
 )
 from .nchv import (
-    Ensemble,
-    HiddenAssignment,
     PhaseGrid,
     chsh_expression,
-    chsh_value,
     classical_bound,
-    correlation_nchv2,
-    correlation_nchv3,
     ghz_forcing,
     mermin_expression,
-    mermin_value,
     nchv_lower_bound,
 )
 from .reports import (

@@ -7,6 +7,8 @@ errors separate.
 
 from __future__ import annotations
 
+import math
+
 
 class SimulationError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -30,3 +32,12 @@ class FixtureParseError(SimulationError):
     def __init__(self, line_number: int, message: str):
         self.line_number = line_number
         super().__init__(f"line {line_number}: {message}")
+
+
+def is_finite(value) -> bool:
+    """``math.isfinite``, with an int too large for a float counted as not
+    finite rather than raising OverflowError."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, is_finite
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -62,7 +62,7 @@ class PhaseSetting:
             value = getattr(self, name)
             if value is None:
                 continue
-            if not math.isfinite(value):
+            if not is_finite(value):
                 raise ValidationError(f"{name} must be finite, got {value!r}")
 
     def phase_sum(self) -> float:
@@ -140,8 +140,8 @@ _EVENTREADY = np.array([[1, 0], [0, 1]], dtype=np.complex128) * _INV_SQRT2
 #     A' = (i|a> + sign e^{i phi_a}|b>)/sqrt(2) event-ready A on exits a/b
 # The tables hold their conjugates, the bras, as (analyzer, sign +1/-1,
 # basis index on that analyzer's axis).  ``_FIXED`` is the phase-free
-# component (i becomes -i); ``_PHASED`` is sign/sqrt(2), which ``_bras``
-# multiplies by e^{-i phase}.  Three analyzers read rows (A, B, C), the
+# component (i becomes -i); ``_PHASED`` is sign/sqrt(2), the coefficient
+# of e^{-i phase}.  Three analyzers read rows (A, B, C), the
 # event-ready pair reads (A', B).
 _FIXED = np.array([
     [[0, -1j], [0, -1j]],  # A: -i<d|
@@ -254,8 +254,13 @@ def conditional_state_after_trigger() -> np.ndarray:
     return (photon1 / np.linalg.norm(photon1)).reshape(4)
 
 
-def _phase_array(n_analyzers: int, phases) -> np.ndarray:
-    """``phases`` as a finite float array of shape (N >= 1, k)."""
+def _outcome_table(n_analyzers: int, phases) -> np.ndarray:
+    """Born probabilities of all 2**k outcomes at N settings.
+
+    ``phases`` has shape (N, k) with columns (phi_a, phi_b[, phi_c]); the
+    result has shape (N, 2**k) with columns in ``TRIPLE_OUTCOMES`` (k = 3)
+    or ``PAIR_OUTCOMES`` (k = 2) order.  Every probability and correlation
+    of this module comes from ``_project``, which this checks the input of."""
     if n_analyzers not in _ROUTES:
         raise ValidationError(f"the number of analyzers must be 2 or 3, got {n_analyzers!r}")
     phases = np.asarray(phases, dtype=np.float64)
@@ -265,28 +270,6 @@ def _phase_array(n_analyzers: int, phases) -> np.ndarray:
         )
     if not np.isfinite(phases).all():
         raise ValidationError("phases must be finite")
-    return phases
-
-
-def _bras(n_analyzers: int, phases) -> np.ndarray:
-    """Conjugated analyzer eigenstates at N settings, shape (N, k, 2, 2):
-    setting, analyzer (A, B[, C]), sign (+1, -1), basis index on that
-    analyzer's axis of the state.  Contracted with the state by
-    ``_Route.subscripts`` they give the amplitudes that ``_outcome_table``
-    reads from the precontracted coefficients instead."""
-    phases = _phase_array(n_analyzers, phases)
-    route = _ROUTES[n_analyzers]
-    return route.fixed + route.phased * np.exp(-1j * phases)[:, :, None, None]
-
-
-def _outcome_table(n_analyzers: int, phases) -> np.ndarray:
-    """Born probabilities of all 2**k outcomes at N settings.
-
-    ``phases`` has shape (N, k) with columns (phi_a, phi_b[, phi_c]); the
-    result has shape (N, 2**k) with columns in ``TRIPLE_OUTCOMES`` (k = 3)
-    or ``PAIR_OUTCOMES`` (k = 2) order.  Every probability and correlation
-    of this module comes from ``_project``, which this checks the input of."""
-    phases = _phase_array(n_analyzers, phases)
     return _project(_ROUTES[n_analyzers], phases)
 
 

@@ -18,7 +18,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError, ValidationError, is_finite
 from .experiment import (
     PAIR_OUTCOMES,
     TRIPLE_OUTCOMES,
@@ -187,7 +187,7 @@ def propagate_error(
         if sign not in (-1, +1):
             raise ValidationError(f"signs must be +1 or -1, got {sign!r}")
     for _, sigma in estimates:
-        if not math.isfinite(sigma) or sigma < 0.0:
+        if not is_finite(sigma) or sigma < 0.0:
             raise ValidationError(f"sigmas must be finite and >= 0, got {sigma!r}")
     combined = math.fsum(s * v for s, (v, _) in zip(signs, estimates))
     sigma = math.sqrt(math.fsum(s * s for _, s in estimates))

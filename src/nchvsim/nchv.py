@@ -2,9 +2,10 @@
 
 An NCHV model assigns every analyzer a predetermined +-1 result for each
 phase it may be set to, independent of which other analyzers are read out.
-This module evaluates ensemble correlations of such assignments, derives
-the algebraic consequences (the forced fourth product, the two inequality
-bounds) and checks them by exhaustive enumeration.
+This module derives the algebraic consequences of such assignments (the
+forced fourth product, the two inequality bounds) and checks them by
+exhaustive enumeration.  A mixture of assignments cannot exceed the best
+single one, so the deterministic bounds hold for every NCHV model.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationLimitError, ValidationError
+from .errors import EnumerationLimitError, ValidationError, is_finite
 
 # Largest total number of binary assignment choices classical_bound will
 # enumerate.  2**24 deterministic models is the supported ceiling.
@@ -24,7 +25,7 @@ MAX_ENUMERATION_BITS = 24
 
 def _check_phases(name: str, phases: tuple[float, ...]):
     for phi in phases:
-        if not math.isfinite(phi):
+        if not is_finite(phi):
             raise ValidationError(f"{name} phase {phi!r} is not finite")
     if len(set(phases)) != len(phases):
         raise ValidationError(f"{name} phases must be distinct, got {phases!r}")
@@ -54,107 +55,11 @@ class PhaseGrid:
         return sum(self.sizes())
 
 
-def _check_values(name: str, values: tuple[int, ...]):
-    for v in values:
-        if v not in (-1, +1):
-            raise ValidationError(f"{name} assignment value must be +1 or -1, got {v!r}")
-
-
-@dataclass(frozen=True)
-class HiddenAssignment:
-    """Predetermined +-1 results, one per grid phase of each observable."""
-
-    a_values: tuple[int, ...]
-    b_values: tuple[int, ...]
-    c_values: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        _check_values("a", self.a_values)
-        _check_values("b", self.b_values)
-        _check_values("c", self.c_values)
-
-    def matches(self, grid: PhaseGrid) -> bool:
-        return (
-            len(self.a_values),
-            len(self.b_values),
-            len(self.c_values),
-        ) == grid.sizes()
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """Convex mixture of hidden assignments."""
-
-    assignments: tuple[HiddenAssignment, ...]
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.assignments:
-            raise ValidationError("ensemble must contain at least one assignment")
-        if len(self.assignments) != len(self.weights):
-            raise ValidationError("one weight per assignment required")
-        for w in self.weights:
-            if not math.isfinite(w) or w < 0.0:
-                raise ValidationError(f"weights must be finite and >= 0, got {w!r}")
-        total = math.fsum(self.weights)
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"weights must sum to 1, got {total!r}")
-
-    @classmethod
-    def from_runs(cls, assignments: list[HiddenAssignment]) -> Ensemble:
-        """Uniform mixture, one weight per recorded run."""
-        n = len(assignments)
-        if n == 0:
-            raise ValidationError("ensemble must contain at least one assignment")
-        return cls(tuple(assignments), tuple([1.0 / n] * n))
-
-
-def _check_ensemble_grid(ensemble: Ensemble, grid: PhaseGrid):
-    for assignment in ensemble.assignments:
-        if not assignment.matches(grid):
-            raise ValidationError(
-                "assignment shape does not match the grid "
-                f"(grid sizes {grid.sizes()})"
-            )
-
-
 def _check_index(name: str, index: int, size: int):
     if not 0 <= index < size:
         raise ValidationError(
             f"{name} index {index} out of range for {size} grid phases"
         )
-
-
-def correlation_nchv3(
-    ensemble: Ensemble, grid: PhaseGrid, indices: tuple[int, int, int]
-) -> float:
-    """Ensemble average of a(phi_a)*b(phi_b)*c(phi_c) at the given grid
-    indices."""
-    _check_ensemble_grid(ensemble, grid)
-    ia, ib, ic = indices
-    na, nb, nc = grid.sizes()
-    _check_index("a", ia, na)
-    _check_index("b", ib, nb)
-    _check_index("c", ic, nc)
-    return math.fsum(
-        w * s.a_values[ia] * s.b_values[ib] * s.c_values[ic]
-        for s, w in zip(ensemble.assignments, ensemble.weights)
-    )
-
-
-def correlation_nchv2(
-    ensemble: Ensemble, grid: PhaseGrid, indices: tuple[int, int]
-) -> float:
-    """Ensemble average of a(phi_a)*b(phi_b) at the given grid indices."""
-    _check_ensemble_grid(ensemble, grid)
-    ia, ib = indices
-    na, nb, _ = grid.sizes()
-    _check_index("a", ia, na)
-    _check_index("b", ib, nb)
-    return math.fsum(
-        w * s.a_values[ia] * s.b_values[ib]
-        for s, w in zip(ensemble.assignments, ensemble.weights)
-    )
 
 
 def _check_constraint(value: int):
@@ -328,22 +233,12 @@ def expression_value(
     if len(values) != len(expression) or not expression:
         raise ValidationError("one correlation per expression term required")
     for k, value in enumerate(values, start=1):
-        if not math.isfinite(value) or abs(value) > 1.0:
+        if not is_finite(value) or abs(value) > 1.0:
             raise ValidationError(f"e{k} must lie within [-1, 1], got {value!r}")
     total = expression[0].sign * values[0]
     for term, value in zip(expression[1:], values[1:]):
         total += term.sign * value
     return total
-
-
-def chsh_value(e1: float, e2: float, e3: float, e4: float) -> float:
-    """E(a,b0) + E(a,b1) + E(a',b1) - E(a',b0)."""
-    return expression_value(chsh_expression(), (e1, e2, e3, e4))
-
-
-def mermin_value(e1: float, e2: float, e3: float, e4: float) -> float:
-    """E(a,b1,c1) - E(a,b0,c0) - E(a',b1,c0) - E(a',b0,c1)."""
-    return expression_value(mermin_expression(), (e1, e2, e3, e4))
 
 
 def nchv_lower_bound(
@@ -352,12 +247,12 @@ def nchv_lower_bound(
     """Lower bound e_a + e_b + e_c - 2 that any NCHV model puts on the
     fourth correlation, with its quadrature standard error."""
     for name, value in zip(("e_a", "e_b", "e_c"), (e_a, e_b, e_c)):
-        if not math.isfinite(value) or abs(value) > 1.0:
+        if not is_finite(value) or abs(value) > 1.0:
             raise ValidationError(f"{name} must lie within [-1, 1], got {value!r}")
     if len(sigmas) != 3:
         raise ValidationError("exactly three sigmas required")
     for s in sigmas:
-        if not math.isfinite(s) or s < 0.0:
+        if not is_finite(s) or s < 0.0:
             raise ValidationError(f"sigmas must be finite and >= 0, got {s!r}")
     bound = e_a + e_b + e_c - 2.0
     sigma = math.sqrt(sum(s * s for s in sigmas))

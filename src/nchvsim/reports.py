@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FixtureParseError, SimulationError, ValidationError
+from .errors import FixtureParseError, SimulationError, ValidationError, is_finite
 from .experiment import PhaseSetting, correlations
 from .montecarlo import (
     CorrelationEstimate,
@@ -40,9 +40,6 @@ from .nchv import (
 SCAN_CSV_HEADER = "phi_a,phi_b,phi_c,E_est,sigma,N_detected,E_analytic"
 REPLAY_CSV_HEADER = ("phi_a", "phi_b", "phi_c", "E", "sigma")
 
-QUANTUM_MAX_CHSH = 2.0 * math.sqrt(2.0)
-QUANTUM_MAX_MERMIN = 4.0
-
 # A simulated report gets a Gaussian significance only if every setting has
 # at least this many coincidences of each product sign (the usual np >= 5
 # condition for the normal approximation).
@@ -61,20 +58,26 @@ class InequalityTest:
     """One test, read off its inequality expression.
 
     Report setting i measures ``terms[order[i]]``, at the term's grid
-    indices on (phi_a, phi_a') x (0, pi/2) [x (0, pi/2)].  ``ideal`` is the
-    (phi_a, phi_a') of the quantum maximum, in units of pi.  The classical
-    bound depends only on which phases the terms read, so it is enumerated
-    once, on ``grid``, which has (0, pi/2) for every analyzer; the
-    projected |value| at ``ideal`` is computed once too."""
+    indices on (phi_a, phi_a') x (0, pi/2) [x (0, pi/2)].  The rest is
+    derived from the terms, once.  The classical bound is enumerated on
+    ``grid``, which has (0, pi/2) for every analyzer.  Each correlation is
+    sin(phi_a + phi_b [+ phi_c]), so a term reads sin(phi + q pi/2), with q
+    the sum of its b and c indices, and the terms of one A phase sum to
+    alpha sin(phi) + beta cos(phi) with integer alpha, beta.  The largest
+    |value| is ``quantum_maximum`` = sum of hypot(alpha, beta), reached at
+    phi = atan2(s alpha, s beta), with s = -1 (the minimum) unless every
+    beta >= 0; for both tests that puts ``ideal`` (phi_a, phi_a'), in
+    units of pi, in [-1/2, 1/2], with integer zeros giving no -0.0.  The
+    projected |value| at ``ideal`` is ``ideal_value``."""
 
     expression: str
     label: str
     terms: tuple[ExpressionTerm, ...]
     order: tuple[int, ...]
-    quantum_maximum: float
-    ideal: tuple[float, float]
     grid: PhaseGrid = field(init=False)
     bound: float = field(init=False)
+    quantum_maximum: float = field(init=False)
+    ideal: tuple[float, float] = field(init=False)
     ideal_value: float = field(init=False)
 
     def __post_init__(self):
@@ -82,9 +85,18 @@ class InequalityTest:
         grid = PhaseGrid(*[(0.0, _HALF * math.pi)] * analyzers)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "bound", classical_bound(self.terms, grid))
-        phi_a, phi_a_prime = (phi * math.pi for phi in self.ideal)
-        ideal = correlations(self.settings(phi_a, phi_a_prime))
-        value = abs(expression_value(self.terms, self.by_term(ideal)))
+        alpha, beta = [0, 0], [0, 0]
+        for term in self.terms:
+            q = (term.b_index + (term.c_index or 0)) % 4
+            alpha[term.a_index] += term.sign * (1, 0, -1, 0)[q]  # sin(phi + q pi/2)
+            beta[term.a_index] += term.sign * (0, 1, 0, -1)[q]
+        object.__setattr__(self, "quantum_maximum", sum(map(math.hypot, alpha, beta)))
+        s = 1 if min(beta) >= 0 else -1
+        ideal = tuple(math.atan2(s * a, s * b) / math.pi for a, b in zip(alpha, beta))
+        object.__setattr__(self, "ideal", ideal)
+        phi_a, phi_a_prime = (phi * math.pi for phi in ideal)
+        at_ideal = correlations(self.settings(phi_a, phi_a_prime))
+        value = abs(expression_value(self.terms, self.by_term(at_ideal)))
         object.__setattr__(self, "ideal_value", value)
 
     def report_terms(self) -> list[ExpressionTerm]:
@@ -110,16 +122,11 @@ class InequalityTest:
 
 
 TESTS = {
-    "exp1": InequalityTest(
-        "mermin", "three-analyzer", mermin_expression(), (1, 2, 3, 0),
-        QUANTUM_MAX_MERMIN, (0.5, 0.0),
-    ),
-    "exp2": InequalityTest(
-        "chsh", "event-ready", chsh_expression(), (0, 1, 2, 3),
-        QUANTUM_MAX_CHSH, (0.25, -0.25),
-    ),
+    "exp1": InequalityTest("mermin", "three-analyzer", mermin_expression(), (1, 2, 3, 0)),
+    "exp2": InequalityTest("chsh", "event-ready", chsh_expression(), (0, 1, 2, 3)),
 }
 EXPRESSIONS = {test.expression: test for test in TESTS.values()}
+QUANTUM_MAX_CHSH = TESTS["exp2"].quantum_maximum
 
 
 @dataclass(frozen=True)
@@ -150,14 +157,14 @@ class RunConfig:
         if self.seed < 0:
             raise ValidationError("seed must be a non-negative integer")
         for name in ("phi_a", "phi_a_prime"):
-            if not math.isfinite(getattr(self, name)):
+            if not is_finite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
         for phi in self.phi_b_values + self.phi_c_values:
-            if not math.isfinite(phi):
+            if not is_finite(phi):
                 raise ValidationError("fixed phase lists must be finite")
         if self.sweep is not None:
             start, stop, steps = self.sweep
-            if not (math.isfinite(start) and math.isfinite(stop)):
+            if not (is_finite(start) and is_finite(stop)):
                 raise ValidationError("sweep endpoints must be finite")
             if steps < 1:
                 raise ValidationError("sweep needs at least one step")

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,18 @@ def run_cli(*args, cwd=None):
         text=True,
         cwd=cwd,
     )
+
+
+@pytest.mark.parametrize("experiment, phi_a, phi_a_prime",
+                         [("exp1", 0.5, 0.0), ("exp2", 0.25, -0.25)])
+def test_default_phases_are_the_ideal_phases(experiment, phi_a, phi_a_prime):
+    _, subparsers = cli.build_parser()
+    defaults = (subparsers[experiment].get_default("phi_a"),
+                subparsers[experiment].get_default("phi_a_prime"))
+    assert defaults == (phi_a, phi_a_prime)
+    # a -0.0 would read "default -0.0" in --help
+    assert [math.copysign(1.0, x) for x in defaults] == [
+        math.copysign(1.0, x) for x in (phi_a, phi_a_prime)]
 
 
 def test_scan_writes_deterministic_csv(tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from einsum_route import bras
 from nchvsim.errors import ValidationError
 from nchvsim.experiment import (
     _GHZ,
@@ -11,7 +12,6 @@ from nchvsim.experiment import (
     TRIPLE_OUTCOMES,
     Outcome,
     PhaseSetting,
-    _bras,
     conditional_state_after_trigger,
     correlation_qm2,
     correlation_qm3,
@@ -28,7 +28,7 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 def kets(phases):
     """Analyzer eigenstates at one setting, shape (k, 2, 2): analyzer
     (A, B[, C]), sign (+1, -1), basis index on that analyzer's axis."""
-    return _bras(len(phases), [phases]).conj()[0]
+    return bras(len(phases), [phases]).conj()[0]
 
 
 def test_pbs_routes_v_up_h_down():
@@ -73,7 +73,7 @@ def test_eigenstate_c_quarter_phase():
 def test_eigenstates_orthonormal_at_random_phases(k, analyzer):
     rng = np.random.default_rng(21)
     phases = rng.uniform(-2 * math.pi, 2 * math.pi, size=(20, k))
-    for plus, minus in _bras(k, phases).conj()[:, analyzer]:
+    for plus, minus in bras(k, phases).conj()[:, analyzer]:
         assert math.isclose(np.linalg.norm(plus), 1.0, abs_tol=1e-12)
         assert math.isclose(np.linalg.norm(minus), 1.0, abs_tol=1e-12)
         assert abs(np.vdot(plus, minus)) < 1e-12

@@ -10,94 +10,20 @@ from nchvsim.errors import EnumerationLimitError, ValidationError
 from nchvsim.nchv import (
     _FORCED_PRODUCTS,
     _GHZ_ASSIGNMENTS,
-    Ensemble,
     ExpressionTerm,
-    HiddenAssignment,
     PhaseGrid,
     chsh_expression,
-    chsh_value,
     classical_bound,
-    correlation_nchv2,
-    correlation_nchv3,
     expression_value,
     ghz_forcing,
     ghz_forcing_enumerated,
     mermin_expression,
-    mermin_value,
     nchv_lower_bound,
 )
 
 HALF_PI = math.pi / 2.0
 GRID2 = PhaseGrid((0.0, HALF_PI), (0.0, HALF_PI))
 GRID3 = PhaseGrid((0.0, HALF_PI), (0.0, HALF_PI), (0.0, HALF_PI))
-
-
-def random_assignment(rng, grid):
-    na, nb, nc = grid.sizes()
-    pick = lambda n: tuple(int(v) for v in rng.choice([-1, 1], size=n))
-    return HiddenAssignment(pick(na), pick(nb), pick(nc))
-
-
-def test_correlation_nchv3_all_plus_ensemble():
-    assignment = HiddenAssignment((1, 1), (1, 1), (1, 1))
-    ensemble = Ensemble.from_runs([assignment])
-    assert correlation_nchv3(ensemble, GRID3, (0, 1, 0)) == 1.0
-
-
-def test_correlation_nchv3_sign_flip_cancels():
-    base = HiddenAssignment((1, -1), (1, 1), (-1, 1))
-    flipped = HiddenAssignment((-1, 1), (1, 1), (-1, 1))
-    ensemble = Ensemble.from_runs([base, flipped])
-    for ia, ib, ic in itertools.product(range(2), repeat=3):
-        assert correlation_nchv3(ensemble, GRID3, (ia, ib, ic)) == 0.0
-
-
-def test_correlation_nchv3_weighted_hand_sum():
-    runs = [
-        HiddenAssignment((+1, -1), (+1, +1), (-1, +1)),
-        HiddenAssignment((-1, -1), (+1, -1), (+1, +1)),
-        HiddenAssignment((+1, +1), (-1, -1), (-1, -1)),
-        HiddenAssignment((-1, +1), (-1, +1), (+1, -1)),
-    ]
-    ensemble = Ensemble(tuple(runs), (0.4, 0.3, 0.2, 0.1))
-    # products at (0,0,0): -1, -1, +1, +1 weighted by 0.4/0.3/0.2/0.1
-    assert correlation_nchv3(ensemble, GRID3, (0, 0, 0)) == pytest.approx(-0.4, abs=1e-15)
-
-
-def test_correlation_nchv_against_direct_average():
-    rng = np.random.default_rng(31)
-    runs = [random_assignment(rng, GRID3) for _ in range(64)]
-    ensemble = Ensemble.from_runs(runs)
-    for indices in [(0, 0, 0), (1, 0, 1), (0, 1, 1)]:
-        ia, ib, ic = indices
-        direct = sum(
-            r.a_values[ia] * r.b_values[ib] * r.c_values[ic] for r in runs
-        ) / len(runs)
-        assert correlation_nchv3(ensemble, GRID3, indices) == pytest.approx(direct, abs=1e-12)
-    for indices in [(0, 0), (1, 1)]:
-        ia, ib = indices
-        direct = sum(r.a_values[ia] * r.b_values[ib] for r in runs) / len(runs)
-        assert correlation_nchv2(ensemble, GRID3, indices) == pytest.approx(direct, abs=1e-12)
-
-
-def test_correlation_index_and_shape_validation():
-    ensemble = Ensemble.from_runs([HiddenAssignment((1, 1), (1, 1), (1, 1))])
-    with pytest.raises(ValidationError):
-        correlation_nchv3(ensemble, GRID3, (0, 0, 2))
-    with pytest.raises(ValidationError):
-        correlation_nchv3(ensemble, PhaseGrid((0.0,), (0.0,), (0.0,)), (0, 0, 0))
-
-
-def test_ensemble_validation():
-    assignment = HiddenAssignment((1,), (1,), (1,))
-    with pytest.raises(ValidationError):
-        Ensemble((assignment,), (0.5,))
-    with pytest.raises(ValidationError):
-        Ensemble((assignment,), (-1.0,))
-    with pytest.raises(ValidationError):
-        Ensemble.from_runs([])
-    with pytest.raises(ValidationError):
-        HiddenAssignment((2,), (1,), (1,))
 
 
 def test_grid_validation():
@@ -214,50 +140,72 @@ def test_classical_bound_validates_indices():
         classical_bound((), GRID3)
 
 
-def test_ensemble_values_never_exceed_bound():
-    rng = np.random.default_rng(41)
-    chsh_limit = classical_bound(chsh_expression(), GRID2)
-    mermin_limit = classical_bound(mermin_expression(), GRID3)
-    for _ in range(50):
-        runs = [random_assignment(rng, GRID3) for _ in range(rng.integers(1, 12))]
-        ensemble = Ensemble.from_runs(runs)
-        m = (
-            correlation_nchv3(ensemble, GRID3, (0, 1, 1))
-            - correlation_nchv3(ensemble, GRID3, (0, 0, 0))
-            - correlation_nchv3(ensemble, GRID3, (1, 1, 0))
-            - correlation_nchv3(ensemble, GRID3, (1, 0, 1))
+@st.composite
+def mixtures(draw):
+    """An expression, a grid it reads, and a convex mixture of deterministic
+    +-1 assignments on that grid, as (assignments, weights)."""
+    kind = draw(st.sampled_from(("chsh", "mermin", "random")))
+    low = 1 if kind == "random" else 2
+    na, nb = draw(st.integers(low, 3)), draw(st.integers(low, 3))
+    nc = draw(st.integers(2 if kind == "mermin" else 0, 3))
+    if kind == "chsh":
+        expression = chsh_expression()
+    elif kind == "mermin":
+        expression = mermin_expression()
+    else:
+        c_index = st.one_of(st.none(), st.integers(0, nc - 1)) if nc else st.none()
+        term = st.builds(ExpressionTerm, st.sampled_from((-1, 1)), st.integers(0, na - 1),
+                         st.integers(0, nb - 1), c_index)
+        expression = tuple(draw(st.lists(term, min_size=1, max_size=6)))
+    grid = PhaseGrid(*(tuple(float(i) for i in range(n)) for n in (na, nb, nc)))
+    value = st.sampled_from((-1, 1))
+    assignment = st.tuples(*(st.lists(value, min_size=n, max_size=n) for n in (na, nb, nc)))
+    assignments = draw(st.lists(assignment, min_size=1, max_size=6))
+    # Dyadic weights: k/64 sum to exactly 1, so every mixed correlation is
+    # exactly a convex combination of +-1 and stays within [-1, 1].
+    cuts = sorted(draw(st.lists(st.integers(0, 64), min_size=len(assignments) - 1,
+                                max_size=len(assignments) - 1)))
+    weights = [(hi - lo) / 64 for lo, hi in zip([0] + cuts, cuts + [64])]
+    return expression, grid, assignments, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixtures())
+def test_ensemble_values_never_exceed_bound(case):
+    # A mixture of deterministic assignments cannot beat the best single
+    # one, so classical_bound holds for every NCHV model.
+    expression, grid, assignments, weights = case
+    correlations = [
+        math.fsum(
+            w * a[t.a_index] * b[t.b_index] * (1 if t.c_index is None else c[t.c_index])
+            for (a, b, c), w in zip(assignments, weights)
         )
-        assert abs(m) <= mermin_limit + 1e-12
-        runs2 = [random_assignment(rng, GRID2) for _ in range(rng.integers(1, 12))]
-        ensemble2 = Ensemble.from_runs(runs2)
-        s = (
-            correlation_nchv2(ensemble2, GRID2, (0, 0))
-            + correlation_nchv2(ensemble2, GRID2, (0, 1))
-            + correlation_nchv2(ensemble2, GRID2, (1, 1))
-            - correlation_nchv2(ensemble2, GRID2, (1, 0))
-        )
-        assert abs(s) <= chsh_limit + 1e-12
+        for t in expression
+    ]
+    assert expression_value(expression, correlations) <= classical_bound(expression, grid) + 1e-12
 
 
 def test_chsh_value_recovers_published_sum():
-    assert chsh_value(0.586, 0.705, 0.714, -0.590) == pytest.approx(2.595, abs=1e-12)
-    assert chsh_value(1.0, 1.0, 1.0, -1.0) == 4.0
+    chsh = chsh_expression()
+    assert expression_value(chsh, (0.586, 0.705, 0.714, -0.590)) == pytest.approx(2.595, abs=1e-12)
+    assert expression_value(chsh, (1.0, 1.0, 1.0, -1.0)) == 4.0
 
 
 def test_chsh_value_accepts_unit_range_but_not_more():
-    assert chsh_value(1.0, 0.0, 0.0, -1.0) == 2.0
+    assert expression_value(chsh_expression(), (1.0, 0.0, 0.0, -1.0)) == 2.0
     for outside in (math.nextafter(1.0, 2.0), 1.04, -1.04, 1.06, math.nan):
         with pytest.raises(ValidationError):
-            chsh_value(outside, 0.0, 0.0, 0.0)
+            expression_value(chsh_expression(), (outside, 0.0, 0.0, 0.0))
         with pytest.raises(ValidationError):
-            mermin_value(0.0, 0.0, 0.0, outside)
+            expression_value(mermin_expression(), (0.0, 0.0, 0.0, outside))
 
 
 def test_mermin_value_cases():
     # quantum predictions at the ideal phases
-    assert mermin_value(-1.0, 1.0, 1.0, 1.0) == -4.0
-    assert mermin_value(0.0, 0.0, 0.0, 0.0) == 0.0
-    assert mermin_value(-0.885, 0.885, 0.897, 0.884) == pytest.approx(-3.551, abs=1e-12)
+    mermin = mermin_expression()
+    assert expression_value(mermin, (-1.0, 1.0, 1.0, 1.0)) == -4.0
+    assert expression_value(mermin, (0.0, 0.0, 0.0, 0.0)) == 0.0
+    assert expression_value(mermin, (-0.885, 0.885, 0.897, 0.884)) == pytest.approx(-3.551, abs=1e-12)
 
 
 def test_nchv_lower_bound_published_values():
@@ -296,8 +244,6 @@ def test_expression_value_is_the_hand_written_sum_bit_for_bit(e):
     e1, e2, e3, e4 = e
     assert expression_value(chsh_expression(), e).hex() == (e1 + e2 + e3 - e4).hex()
     assert expression_value(mermin_expression(), e).hex() == (e1 - e2 - e3 - e4).hex()
-    assert chsh_value(*e) == e1 + e2 + e3 - e4
-    assert mermin_value(*e) == e1 - e2 - e3 - e4
 
 
 def test_expression_value_needs_one_value_per_term():

@@ -6,9 +6,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
+from einsum_route import bras
 from nchvsim.errors import ValidationError
 from nchvsim.experiment import (
     PAIR_OUTCOMES,
@@ -16,7 +17,6 @@ from nchvsim.experiment import (
     PhaseSetting,
     _ROUTES,
     _SETTING_TABLES,
-    _bras,
     _correlations,
     _outcome_table,
     _setting_table,
@@ -28,8 +28,8 @@ from nchvsim.experiment import (
     joint_probability_eventready,
     joint_probability_eventready_closed_form,
 )
-from nchvsim.nchv import expression_value
-from nchvsim.reports import TESTS
+from nchvsim.nchv import ExpressionTerm, expression_value
+from nchvsim.reports import TESTS, InequalityTest
 
 FOUR_PI = 4.0 * math.pi
 
@@ -84,11 +84,11 @@ def test_table_rows_are_distributions_with_uniform_marginals(case):
 
 def _einsum_table(k, phases):
     """Reference route: contract the state with the bras at each setting."""
-    bras = _bras(k, phases)
+    setting_bras = bras(k, phases)
     amplitudes = np.einsum(
-        _ROUTES[k].subscripts, *(bras[:, j] for j in range(k)), _ROUTES[k].state
+        _ROUTES[k].subscripts, *(setting_bras[:, j] for j in range(k)), _ROUTES[k].state
     )
-    return np.square(np.abs(amplitudes)).reshape(len(bras), -1)
+    return np.square(np.abs(amplitudes)).reshape(len(setting_bras), -1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -129,7 +129,7 @@ def _kets_by_formula(k, phase, sign):
 @given(phase_tables())
 def test_table_bras_are_the_labelled_eigenstates(case):
     k, phases = case
-    kets = _bras(k, phases).conj()
+    kets = bras(k, phases).conj()
     for n, row in enumerate(phases):
         for j, phase in enumerate(row):
             for s, sign in enumerate((+1, -1)):
@@ -229,3 +229,38 @@ def test_stored_ideal_value_equals_a_fresh_projection(name):
     phi_a, phi_a_prime = (phi * math.pi for phi in test.ideal)
     ideal = correlations(test.settings(phi_a, phi_a_prime))
     assert test.ideal_value == abs(expression_value(test.terms, test.by_term(ideal)))
+
+
+def test_quantum_maximum_and_ideal_phases_are_the_published_ones():
+    assert TESTS["exp1"].quantum_maximum.hex() == (4.0).hex()
+    assert TESTS["exp2"].quantum_maximum.hex() == (2 * math.sqrt(2)).hex()
+    for name, ideal in (("exp1", (0.5, 0.0)), ("exp2", (0.25, -0.25))):
+        assert TESTS[name].ideal == ideal
+        assert [math.copysign(1.0, x) for x in TESTS[name].ideal] == [
+            math.copysign(1.0, x) for x in ideal]
+
+
+@st.composite
+def inequality_tests(draw):
+    """A test built from random terms on the (0, pi/2) grid."""
+    three = draw(st.booleans())
+    index = st.integers(0, 1)
+    term = st.builds(ExpressionTerm, st.sampled_from((-1, 1)), index, index,
+                     index if three else st.none())
+    terms = tuple(draw(st.lists(term, min_size=1, max_size=6)))
+    order = tuple(draw(st.permutations(range(len(terms)))))
+    try:
+        return InequalityTest("random", "random", terms, order)
+    except ValidationError:
+        # The optimum sets phi_a = phi_a', and report settings need two
+        # distinct A phases.
+        reject()
+
+
+@settings(max_examples=100, deadline=None)
+@given(test=inequality_tests(), phases=st.tuples(*[st.floats(-FOUR_PI, FOUR_PI)] * 2))
+def test_derived_quantum_maximum_bounds_the_projection_and_is_reached_at_ideal(test, phases):
+    assume(phases[0] != phases[1])
+    assert abs(test.ideal_value - test.quantum_maximum) <= 1e-12
+    at_phases = correlations(test.settings(*phases))
+    assert abs(expression_value(test.terms, test.by_term(at_phases))) <= test.quantum_maximum + 1e-12

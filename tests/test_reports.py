@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from nchvsim.errors import EstimationError, FixtureParseError, ValidationError
 from nchvsim.experiment import PhaseSetting, correlation_qm2, correlation_qm3
-from nchvsim.montecarlo import NoiseModel
+from nchvsim.montecarlo import NoiseModel, propagate_error
 from nchvsim.nchv import (
     PhaseGrid,
     chsh_expression,
     classical_bound,
+    expression_value,
     mermin_expression,
+    nchv_lower_bound,
 )
 from nchvsim.reports import (
     _grid_threshold,
@@ -292,6 +294,34 @@ def test_wrong_experiment_rejected():
 def test_run_config_rejects_non_integer_trials_and_seed(field, value):
     with pytest.raises(ValidationError):
         exp1_config(**{field: value})
+
+
+BIG = 10**400  # an int no float can hold: math.isfinite raises OverflowError on it
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PhaseSetting(BIG, 0.0),
+        lambda: PhaseGrid((BIG,), (0.0,)),
+        lambda: exp1_config(phi_a=BIG),
+        lambda: exp1_config(phi_a_prime=BIG),
+        lambda: exp1_config(phi_b_values=(0.0, BIG)),
+        lambda: exp1_config(phi_c_values=(BIG,)),
+        lambda: exp1_config(sweep=(BIG, 1.0, 3)),
+        lambda: exp1_config(sweep=(0.0, -BIG, 3)),
+        lambda: expression_value(chsh_expression(), (0.0, BIG, 0.0, 0.0)),
+        lambda: nchv_lower_bound(0.9, BIG, 0.9, (0.0, 0.0, 0.0)),
+        lambda: nchv_lower_bound(0.9, 0.9, 0.9, (0.0, 0.0, BIG)),
+        lambda: propagate_error([(0.1, 0.0), (0.2, BIG)], [1, -1]),
+    ],
+    ids=["PhaseSetting", "PhaseGrid", "phi_a", "phi_a_prime", "phi_b_values",
+         "phi_c_values", "sweep_start", "sweep_stop", "expression_value",
+         "nchv_lower_bound_value", "nchv_lower_bound_sigma", "propagate_error_sigma"],
+)
+def test_ints_too_large_for_a_float_are_validation_errors(build):
+    with pytest.raises(ValidationError, match="finite|within"):
+        build()
 
 
 _FIXTURE_ROWS = {
