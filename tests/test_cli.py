@@ -121,6 +121,18 @@ def test_validation_errors_exit_2():
     ).returncode == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("exp1", "--trials", "1", "--seed", "0"),
+     "error: no A=+1 coincidences recorded; cannot estimate\n"),
+    (("exp2", "--trials", "1", "--efficiency", "0.01"),
+     "error: no coincidences recorded; cannot estimate\n"),
+])
+def test_estimator_without_usable_events_exits_2(argv, message):
+    result = run_cli(*argv)
+    assert result.returncode == 2
+    assert result.stderr == message
+
+
 @pytest.mark.parametrize("resolution", ["1e-25", "5e-324"])
 def test_threshold_below_finest_resolution_exits_2(resolution):
     # 1e-25 used to hang and 5e-324 to end in an OverflowError traceback

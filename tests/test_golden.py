@@ -31,6 +31,12 @@ CASES = {
          "--sweep", "-1:1:7", "--phi-b", "0,0.5"],
         None,
     ),
+    "scan_exp2": (
+        ["scan", "--experiment", "exp2", "--trials", "2000", "--seed", "9",
+         "--sweep", "-1:1:7", "--phi-b", "0,0.5", "--efficiency", "0.3",
+         "--visibility", "0.9", "--background", "0.05"],
+        None,
+    ),
 }
 
 
