@@ -65,6 +65,11 @@ class PhaseSetting:
             if not is_finite(value):
                 raise ValidationError(f"{name} must be finite, got {value!r}")
 
+    @property
+    def analyzers(self) -> int:
+        """2 in the event-ready configuration (no ``phi_c``), else 3."""
+        return 2 if self.phi_c is None else 3
+
     def phase_sum(self) -> float:
         total = self.phi_a + self.phi_b
         if self.phi_c is not None:
@@ -112,6 +117,7 @@ TRIPLE_OUTCOMES = tuple(
     Outcome(a, b, c) for a in _SIGNS for b in _SIGNS for c in _SIGNS
 )
 PAIR_OUTCOMES = tuple(Outcome(a, b) for a in _SIGNS for b in _SIGNS)
+OUTCOMES = {3: TRIPLE_OUTCOMES, 2: PAIR_OUTCOMES}  # by number of analyzers
 
 
 # The emitted pair is (|V H> + |H V>)/sqrt(2) over (pol1, pol2).  The PBS
@@ -193,15 +199,15 @@ def _route(state, fixed, phased, subscripts, outcomes) -> _Route:
 
 
 _ROUTES = {
-    3: _route(_GHZ, _FIXED[:3], _PHASED[:3], "nax,nby,ncz,xyz->nabc", TRIPLE_OUTCOMES),
-    2: _route(_EVENTREADY, _FIXED[[3, 1]], _PHASED[[3, 1]], "nax,nby,xy->nab", PAIR_OUTCOMES),
+    3: _route(_GHZ, _FIXED[:3], _PHASED[:3], "nax,nby,ncz,xyz->nabc", OUTCOMES[3]),
+    2: _route(_EVENTREADY, _FIXED[[3, 1]], _PHASED[[3, 1]], "nax,nby,xy->nab", OUTCOMES[2]),
 }
 
 # Column of each outcome's (a, b, c) signs in a setting's probabilities;
 # pair outcomes have c = None.
 _COLUMNS = {
     (o.a, o.b, o.c): column
-    for outcomes in (TRIPLE_OUTCOMES, PAIR_OUTCOMES)
+    for outcomes in OUTCOMES.values()
     for column, o in enumerate(outcomes)
 }
 
@@ -210,16 +216,16 @@ _COLUMNS = {
 _EXPONENTS = np.array([0.0, -1.0j])
 
 
-def _require_triple(setting: PhaseSetting, outcome: Outcome | None = None):
-    if setting.phi_c is None:
-        raise ValidationError("this operation needs all three phases set")
-    if outcome is not None and outcome.c is None:
-        raise ValidationError("triple-coincidence outcome needs a C component")
+def _require(k: int, setting: PhaseSetting, outcome: Outcome | None = None):
+    if setting.analyzers != k:
+        raise ValidationError(f"this operation needs a setting of {k} analyzers, got {setting!r}")
+    if outcome is not None and (outcome.c is None) != (k == 2):
+        raise ValidationError(f"this operation needs an outcome of {k} analyzers, got {outcome!r}")
 
 
 def joint_probability(outcome: Outcome, setting: PhaseSetting) -> float:
     """Triple-coincidence probability by explicit eigenstate projection."""
-    _require_triple(setting, outcome)
+    _require(3, setting, outcome)
     table = _setting_table(3, (setting.phi_a, setting.phi_b, setting.phi_c))
     return table.probabilities[_COLUMNS[outcome.a, outcome.b, outcome.c]]
 
@@ -227,13 +233,13 @@ def joint_probability(outcome: Outcome, setting: PhaseSetting) -> float:
 def joint_probability_closed_form(outcome: Outcome, setting: PhaseSetting) -> float:
     """(1 + A*B*C*sin(phi_a+phi_b+phi_c))/8, the sinusoid the projection
     route must reproduce."""
-    _require_triple(setting, outcome)
+    _require(3, setting, outcome)
     return (1.0 + outcome.product() * math.sin(setting.phase_sum())) / 8.0
 
 
 def correlation_qm3(setting: PhaseSetting) -> float:
     """Expectation of the A*B*C product, summed over all eight outcomes."""
-    _require_triple(setting)
+    _require(3, setting)
     return _setting_table(3, (setting.phi_a, setting.phi_b, setting.phi_c)).correlation
 
 
@@ -258,8 +264,7 @@ def _outcome_table(n_analyzers: int, phases) -> np.ndarray:
     """Born probabilities of all 2**k outcomes at N settings.
 
     ``phases`` has shape (N, k) with columns (phi_a, phi_b[, phi_c]); the
-    result has shape (N, 2**k) with columns in ``TRIPLE_OUTCOMES`` (k = 3)
-    or ``PAIR_OUTCOMES`` (k = 2) order.  Every probability and correlation
+    result has shape (N, 2**k) with columns in ``OUTCOMES[k]`` order.  Every probability and correlation
     of this module comes from ``_project``, which this checks the input of."""
     if n_analyzers not in _ROUTES:
         raise ValidationError(f"the number of analyzers must be 2 or 3, got {n_analyzers!r}")
@@ -327,29 +332,22 @@ def _setting_table(n_analyzers: int, phases: tuple) -> _SettingTable:
     return _SettingTable(tuple(table[0].tolist()), _expectations(n_analyzers, table).item())
 
 
-def _require_pair(setting: PhaseSetting, outcome: Outcome | None = None):
-    if setting.phi_c is not None:
-        raise ValidationError("event-ready settings carry no phi_c")
-    if outcome is not None and outcome.c is not None:
-        raise ValidationError("event-ready outcomes carry no C component")
-
-
 def joint_probability_eventready(outcome: Outcome, setting: PhaseSetting) -> float:
     """Conditioned pair probability by eigenstate projection."""
-    _require_pair(setting, outcome)
+    _require(2, setting, outcome)
     table = _setting_table(2, (setting.phi_a, setting.phi_b))
     return table.probabilities[_COLUMNS[outcome.a, outcome.b, None]]
 
 
 def joint_probability_eventready_closed_form(outcome: Outcome, setting: PhaseSetting) -> float:
     """(1 + A*B*sin(phi_a+phi_b))/4."""
-    _require_pair(setting, outcome)
-    return (1.0 + outcome.a * outcome.b * math.sin(setting.phi_a + setting.phi_b)) / 4.0
+    _require(2, setting, outcome)
+    return (1.0 + outcome.product() * math.sin(setting.phase_sum())) / 4.0
 
 
 def correlation_qm2(setting: PhaseSetting) -> float:
     """Expectation of the A*B product in the event-ready configuration."""
-    _require_pair(setting)
+    _require(2, setting)
     return _setting_table(2, (setting.phi_a, setting.phi_b)).correlation
 
 
@@ -360,8 +358,7 @@ def correlations(settings) -> list[float]:
     event-ready (``correlation_qm2``)."""
     if not settings:
         raise ValidationError("correlations needs at least one setting")
-    if all(s.phi_c is not None for s in settings):
-        return _correlations(3, [[s.phi_a, s.phi_b, s.phi_c] for s in settings])
-    if all(s.phi_c is None for s in settings):
-        return _correlations(2, [[s.phi_a, s.phi_b] for s in settings])
-    raise ValidationError("settings mix three-analyzer and event-ready configurations")
+    k = settings[0].analyzers
+    if any(s.analyzers != k for s in settings):
+        raise ValidationError("settings mix three-analyzer and event-ready configurations")
+    return _correlations(k, [[s.phi_a, s.phi_b, s.phi_c][:k] for s in settings])

@@ -5,9 +5,13 @@ interference contrast is reduced by a visibility factor, a background
 fraction of uniformly random coincidences is mixed in, and detection is a
 per-pair Bernoulli thinning that is independent of the analyzer outcomes.
 
-Estimated correlations carry the multinomial standard error
-``sigma = sqrt((1 - E**2) / N)`` where ``N`` counts the coincidences the
-estimator actually consumed.
+Every function reads the number of analyzers k off the setting
+(``PhaseSetting.analyzers``) and works on its 2**k outcomes.  Both
+estimators follow one counting rule: the correlation is the mean of the
+outcome product A*B(*C) over the channels the experiment records, and it
+carries the standard error ``sigma = sqrt((1 - E**2) / N)`` of a mean of
+``N`` +-1 observations, where ``N`` counts the coincidences in those
+channels.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ import numpy as np
 
 from .errors import EstimationError, ValidationError, is_finite
 from .experiment import (
-    PAIR_OUTCOMES,
-    TRIPLE_OUTCOMES,
+    OUTCOMES,
     Outcome,
     PhaseSetting,
     joint_probability_closed_form,
@@ -74,7 +77,7 @@ class CoincidenceCounts:
             raise ValidationError("detected events cannot exceed trials")
 
     def outcomes(self) -> tuple[Outcome, ...]:
-        return TRIPLE_OUTCOMES if self.setting.phi_c is not None else PAIR_OUTCOMES
+        return OUTCOMES[self.setting.analyzers]
 
 
 @dataclass(frozen=True)
@@ -107,12 +110,10 @@ def noisy_probability(outcome: Outcome, setting: PhaseSetting, noise: NoiseModel
 
     The ideal sinusoid is contracted toward the uniform distribution twice:
     ``p = (1 - bg) * (v * p_ideal + (1 - v)/k) + bg/k`` with k outcomes."""
-    if setting.phi_c is not None:
-        ideal = joint_probability_closed_form(outcome, setting)
-        k = 8.0
-    else:
-        ideal = joint_probability_eventready_closed_form(outcome, setting)
-        k = 4.0
+    k = len(OUTCOMES[setting.analyzers])
+    closed_form = (joint_probability_closed_form if k == 8
+                   else joint_probability_eventready_closed_form)
+    ideal = closed_form(outcome, setting)
     v = noise.visibility
     p = v * ideal + (1.0 - v) / k
     return (1.0 - noise.background) * p + noise.background / k
@@ -130,7 +131,7 @@ def sample_counts(
     given seed."""
     if trials <= 0:
         raise ValidationError(f"trials must be positive, got {trials!r}")
-    outcomes = TRIPLE_OUTCOMES if setting.phi_c is not None else PAIR_OUTCOMES
+    outcomes = OUTCOMES[setting.analyzers]
     # Cumulative sums of non-negative probabilities, added in np.cumsum's
     # order.  Every draw is below 1, so the top edge is never needed.
     edges = list(accumulate(noisy_probability(o, setting, noise) for o in outcomes))
@@ -142,37 +143,37 @@ def sample_counts(
     return CoincidenceCounts(setting, counts, trials, detected)
 
 
+def _mean_product(counts: CoincidenceCounts, a_values: tuple, empty: str) -> CorrelationEstimate:
+    """Mean of the outcome product over the channels whose A is in
+    ``a_values``; raises EstimationError(``empty``) if they hold no event."""
+    used = 0
+    weighted = 0
+    for outcome, n in counts.counts.items():
+        if outcome.a in a_values:
+            used += n
+            weighted += outcome.product() * n
+    if used == 0:
+        raise EstimationError(empty)
+    value = weighted / used
+    return CorrelationEstimate(value, counting_sigma(value, used), used, counts.setting)
+
+
 def estimate_correlation_exp1(counts: CoincidenceCounts) -> CorrelationEstimate:
     """Triple correlation from the four A=+1 coincidence channels only.
 
     The lower beam-splitter exit is unmonitored, so the estimate doubles the
     A=+1 relative frequencies under the A-marginal symmetry; algebraically
     that is the mean of B*C over the A=+1 subsample."""
-    if counts.setting.phi_c is None:
+    if counts.setting.analyzers != 3:
         raise ValidationError("exp1 estimator needs triple-coincidence counts")
-    used = 0
-    weighted = 0
-    for outcome, n in counts.counts.items():
-        if outcome.a != +1:
-            continue
-        used += n
-        weighted += outcome.b * outcome.c * n
-    if used == 0:
-        raise EstimationError("no A=+1 coincidences recorded; cannot estimate")
-    value = weighted / used
-    return CorrelationEstimate(value, counting_sigma(value, used), used, counts.setting)
+    return _mean_product(counts, (+1,), "no A=+1 coincidences recorded; cannot estimate")
 
 
 def estimate_correlation_exp2(counts: CoincidenceCounts) -> CorrelationEstimate:
     """Conditioned pair correlation using all four outcome channels."""
-    if counts.setting.phi_c is not None:
+    if counts.setting.analyzers != 2:
         raise ValidationError("exp2 estimator needs pair-coincidence counts")
-    used = sum(counts.counts.values())
-    if used == 0:
-        raise EstimationError("no coincidences recorded; cannot estimate")
-    weighted = sum(o.a * o.b * n for o, n in counts.counts.items())
-    value = weighted / used
-    return CorrelationEstimate(value, counting_sigma(value, used), used, counts.setting)
+    return _mean_product(counts, (+1, -1), "no coincidences recorded; cannot estimate")
 
 
 def propagate_error(

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,14 +106,12 @@ class InequalityTest:
         """The report settings: each reads its term's phases off the test
         grid with the beam-splitter phases (phi_a, phi_a') in place of its
         a phases."""
-        grid = replace(self.grid, a_phases=(phi_a, phi_a_prime))
-        settings = []
-        for term in self.report_terms():
-            phi_c = None if term.c_index is None else grid.c_phases[term.c_index]
-            settings.append(
-                PhaseSetting(grid.a_phases[term.a_index], grid.b_phases[term.b_index], phi_c)
-            )
-        return settings
+        a_phases, grid = (phi_a, phi_a_prime), self.grid
+        return [
+            PhaseSetting(a_phases[term.a_index], grid.b_phases[term.b_index],
+                         None if term.c_index is None else grid.c_phases[term.c_index])
+            for term in self.report_terms()
+        ]
 
     def by_term(self, per_setting: list) -> list:
         """Reorder values given per report setting into expression order."""
@@ -196,15 +194,20 @@ def _setting_seeds(seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)]
 
 
-def _analytic(setting: PhaseSetting, noise: NoiseModel) -> float:
-    return noise.effective_visibility() * math.sin(setting.phase_sum())
-
-
-def _estimate(setting: PhaseSetting, config: RunConfig, seed: int) -> CorrelationEstimate:
-    counts = sample_counts(setting, config.noise, config.trials_per_setting, seed)
-    if setting.phi_c is not None:
-        return estimate_correlation_exp1(counts)
-    return estimate_correlation_exp2(counts)
+def _simulate(
+    config: RunConfig, settings: list[PhaseSetting]
+) -> list[tuple[CorrelationEstimate, float]]:
+    """Estimate and noise-model correlation of each setting, sampled from
+    the per-setting child seeds of ``config.seed``."""
+    seeds = _setting_seeds(config.seed, len(settings))
+    contrast = config.noise.effective_visibility()
+    results = []
+    for setting, seed in zip(settings, seeds):
+        counts = sample_counts(setting, config.noise, config.trials_per_setting, seed)
+        estimator = (estimate_correlation_exp1 if setting.analyzers == 3
+                     else estimate_correlation_exp2)
+        results.append((estimator(counts), contrast * math.sin(setting.phase_sum())))
+    return results
 
 
 def scan_phase(config: RunConfig) -> list[ScanRow]:
@@ -217,28 +220,15 @@ def scan_phase(config: RunConfig) -> list[ScanRow]:
         raise ValidationError("exp2 scans carry no phi_c values")
     start, stop, steps = config.sweep
     sweep_values = [float(x) for x in np.linspace(start, stop, steps)]
-    if config.experiment == "exp1":
-        fixed = [(b, c) for b in config.phi_b_values for c in config.phi_c_values]
-    else:
-        fixed = [(b, None) for b in config.phi_b_values]
+    fixed = [(b, c) for b in config.phi_b_values for c in config.phi_c_values or (None,)]
     settings = [
         PhaseSetting(phi_a, b, c) for (b, c) in fixed for phi_a in sweep_values
     ]
-    seeds = _setting_seeds(config.seed, len(settings))
     rows = []
-    for setting, seed in zip(settings, seeds):
-        est = _estimate(setting, config, seed)
+    for setting, (est, analytic) in zip(settings, _simulate(config, settings)):
         canon = setting.canonical()
         rows.append(
-            ScanRow(
-                canon.phi_a,
-                canon.phi_b,
-                canon.phi_c,
-                est.value,
-                est.sigma,
-                est.n,
-                _analytic(setting, config.noise),
-            )
+            ScanRow(canon.phi_a, canon.phi_b, canon.phi_c, est.value, est.sigma, est.n, analytic)
         )
     return rows
 
@@ -282,20 +272,6 @@ def _config_echo(config: RunConfig) -> dict:
         "seed": config.seed,
         "phi_a": config.phi_a,
         "phi_a_prime": config.phi_a_prime,
-    }
-
-
-def _entry(estimate, **extra) -> dict:
-    """Report entry of a simulated estimate or a replayed row: its setting's
-    canonical phases in radians, its value and sigma, and ``extra``."""
-    canon = estimate.setting.canonical()
-    return {
-        "phi_a": canon.phi_a,
-        "phi_b": canon.phi_b,
-        "phi_c": canon.phi_c,
-        "value": estimate.value,
-        "sigma": estimate.sigma,
-        **extra,
     }
 
 
@@ -400,30 +376,41 @@ def _verdict_summary(
     )
 
 
-def _simulate_report(config: RunConfig) -> Report:
-    test = TESTS[config.experiment]
-    settings = test.settings(config.phi_a, config.phi_a_prime)
-    seeds = _setting_seeds(config.seed, len(settings))
-    estimates = [_estimate(s, config, seed) for s, seed in zip(settings, seeds)]
-    analytic = [_analytic(est.setting, config.noise) for est in estimates]
-    entries = [_entry(est, n=est.n, analytic=a) for est, a in zip(estimates, analytic)]
+def _report(config: dict, test: InequalityTest, estimates, analytic=None) -> Report:
+    """Report of simulated estimates or replayed rows, as ``_derive`` takes
+    them.  Each entry holds its setting's canonical phases in radians, its
+    value and sigma; a simulated one adds ``n`` and ``analytic``."""
+    entries = []
+    for k, estimate in enumerate(estimates):
+        canon = estimate.setting.canonical()
+        entries.append({"phi_a": canon.phi_a, "phi_b": canon.phi_b, "phi_c": canon.phi_c,
+                        "value": estimate.value, "sigma": estimate.sigma})
+        if analytic is not None:
+            entries[-1].update(n=estimate.n, analytic=analytic[k])
     derived, verdict = _derive(test, estimates, analytic)
-    return Report(_config_echo(config), entries, derived, verdict)
+    return Report(config, entries, derived, verdict)
+
+
+def _simulate_report(config: RunConfig, experiment: str) -> Report:
+    if config.experiment != experiment:
+        raise ValidationError(f"run_{experiment}_report needs an {experiment} configuration")
+    if config.phi_a == config.phi_a_prime:
+        raise ValidationError("phi_a and phi_a_prime must be two different beam-splitter phases")
+    test = TESTS[experiment]
+    settings = test.settings(config.phi_a, config.phi_a_prime)
+    estimates, analytic = zip(*_simulate(config, settings))
+    return _report(_config_echo(config), test, estimates, analytic)
 
 
 def run_exp1_report(config: RunConfig) -> Report:
     """Simulate the four triple-coincidence settings and report the forced
     lower bound against the measured fourth correlation."""
-    if config.experiment != "exp1":
-        raise ValidationError("run_exp1_report needs an exp1 configuration")
-    return _simulate_report(config)
+    return _simulate_report(config, "exp1")
 
 
 def run_exp2_report(config: RunConfig) -> Report:
     """Simulate the four event-ready settings and report the CHSH sum."""
-    if config.experiment != "exp2":
-        raise ValidationError("run_exp2_report needs an exp2 configuration")
-    return _simulate_report(config)
+    return _simulate_report(config, "exp2")
 
 
 def _grid_threshold(amplitude: float, limit: float, resolution: float) -> float:
@@ -652,11 +639,8 @@ def replay(path) -> Report:
             mixed.line_number, "rows mix three-analyzer and event-ready settings"
         )
     experiment = "exp1" if has_c[0] else "exp2"
-    ordered = _match(TESTS[experiment], rows)
-    derived, verdict = _derive(TESTS[experiment], ordered, analytic=None)
-    entries = [_entry(row) for row in ordered]
     config = {"mode": "replay", "experiment": experiment, "source": str(path)}
-    return Report(config, entries, derived, verdict)
+    return _report(config, TESTS[experiment], _match(TESTS[experiment], rows))
 
 
 def report_json_text(report: Report) -> str:

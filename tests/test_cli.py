@@ -133,6 +133,15 @@ def test_estimator_without_usable_events_exits_2(argv, message):
     assert result.stderr == message
 
 
+@pytest.mark.parametrize("experiment", ["exp1", "exp2"])
+def test_equal_beam_splitter_phases_exit_2_naming_both(experiment):
+    result = run_cli(experiment, "--phi-a", "0.25", "--phi-a-prime", "0.25", "--trials", "100")
+    assert result.returncode == 2
+    assert result.stderr == (
+        "error: phi_a and phi_a_prime must be two different beam-splitter phases\n"
+    )
+
+
 @pytest.mark.parametrize("resolution", ["1e-25", "5e-324"])
 def test_threshold_below_finest_resolution_exits_2(resolution):
     # 1e-25 used to hang and 5e-324 to end in an OverflowError traceback

@@ -8,6 +8,7 @@ from einsum_route import bras
 from nchvsim.errors import ValidationError
 from nchvsim.experiment import (
     _GHZ,
+    OUTCOMES,
     PAIR_OUTCOMES,
     TRIPLE_OUTCOMES,
     Outcome,
@@ -197,6 +198,32 @@ def test_outcome_and_setting_validation():
         joint_probability(Outcome(+1, +1, +1), PhaseSetting(0.0, 0.0))
     with pytest.raises(ValidationError):
         joint_probability_eventready(Outcome(+1, +1, +1), PhaseSetting(0.0, 0.0))
+
+
+def test_analyzer_count_is_read_off_the_setting():
+    assert PhaseSetting(0.0, 0.0, 0.0).analyzers == 3
+    assert PhaseSetting(0.0, 0.0).analyzers == 2
+    assert OUTCOMES == {3: TRIPLE_OUTCOMES, 2: PAIR_OUTCOMES}
+
+
+TRIPLE, PAIR = PhaseSetting(0.1, 0.2, 0.3), PhaseSetting(0.1, 0.2)
+
+
+@pytest.mark.parametrize("function, args", [
+    (joint_probability, (Outcome(+1, +1, +1), PAIR)),
+    (joint_probability, (Outcome(+1, +1), TRIPLE)),
+    (joint_probability_closed_form, (Outcome(+1, +1, +1), PAIR)),
+    (joint_probability_closed_form, (Outcome(+1, +1), TRIPLE)),
+    (correlation_qm3, (PAIR,)),
+    (joint_probability_eventready, (Outcome(+1, +1), TRIPLE)),
+    (joint_probability_eventready, (Outcome(+1, +1, +1), PAIR)),
+    (joint_probability_eventready_closed_form, (Outcome(+1, +1), TRIPLE)),
+    (joint_probability_eventready_closed_form, (Outcome(+1, +1, +1), PAIR)),
+    (correlation_qm2, (TRIPLE,)),
+])
+def test_per_setting_functions_reject_the_other_configuration(function, args):
+    with pytest.raises(ValidationError, match="needs a.* of [23] analyzers"):
+        function(*args)
 
 
 def test_eigenstate_phase_convention():
