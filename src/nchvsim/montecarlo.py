@@ -31,6 +31,8 @@ from .experiment import (
     joint_probability_eventready_closed_form,
 )
 
+_OUTCOME_SETS = {k: frozenset(outcomes) for k, outcomes in OUTCOMES.items()}
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -65,6 +67,11 @@ class CoincidenceCounts:
     def __post_init__(self):
         if self.trials <= 0:
             raise ValidationError(f"trials must be positive, got {self.trials!r}")
+        if not self.counts.keys() <= _OUTCOME_SETS[self.setting.analyzers]:
+            raise ValidationError(
+                f"counts at a setting of {self.setting.analyzers} analyzers must be keyed "
+                f"by its outcomes, got {list(self.counts)!r}"
+            )
         for outcome, n in self.counts.items():
             if n < 0:
                 raise ValidationError(f"negative count for outcome {outcome!r}")
@@ -187,7 +194,9 @@ def propagate_error(
     for sign in signs:
         if sign not in (-1, +1):
             raise ValidationError(f"signs must be +1 or -1, got {sign!r}")
-    for _, sigma in estimates:
+    for value, sigma in estimates:
+        if not is_finite(value):
+            raise ValidationError(f"estimate values must be finite, got {value!r}")
         if not is_finite(sigma) or sigma < 0.0:
             raise ValidationError(f"sigmas must be finite and >= 0, got {sigma!r}")
     combined = math.fsum(s * v for s, (v, _) in zip(signs, estimates))

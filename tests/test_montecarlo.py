@@ -127,6 +127,17 @@ def test_counts_consistency_validation():
         CoincidenceCounts(setting, {Outcome(+1, +1, +1): 3}, trials=2, detected=3)
 
 
+@pytest.mark.parametrize("setting, outcome", [
+    (PhaseSetting(0.0, 0.0, 0.0), Outcome(+1, +1)),
+    (PhaseSetting(0.0, 0.0), Outcome(+1, +1, -1)),
+])
+def test_counts_of_the_other_configuration_are_rejected(setting, outcome):
+    # the exp1 estimator used to end in a TypeError on the first, and the
+    # exp2 estimator to return +1 for an outcome whose product is -1
+    with pytest.raises(ValidationError, match="keyed by its outcomes"):
+        make_counts(setting, {outcome: 5})
+
+
 def test_exp1_estimator_uses_only_plus_channels():
     setting = PhaseSetting(HALF_PI, 0.0, 0.0)
     mapping = {
@@ -248,6 +259,12 @@ def test_propagate_error_validation():
         propagate_error([(0.5, 0.01)], [2])
     with pytest.raises(ValidationError):
         propagate_error([(0.5, -0.01)], [1])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
+def test_propagate_error_rejects_unusable_values(value):
+    with pytest.raises(ValidationError, match="estimate values must be finite"):
+        propagate_error([(value, 0.1)], [1])
 
 
 def test_counting_sigma_formula():
