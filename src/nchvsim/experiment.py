@@ -264,8 +264,9 @@ def _outcome_table(n_analyzers: int, phases) -> np.ndarray:
     """Born probabilities of all 2**k outcomes at N settings.
 
     ``phases`` has shape (N, k) with columns (phi_a, phi_b[, phi_c]); the
-    result has shape (N, 2**k) with columns in ``OUTCOMES[k]`` order.  Every probability and correlation
-    of this module comes from ``_project``, which this checks the input of."""
+    result has shape (N, 2**k) with columns in ``OUTCOMES[k]`` order.
+    Every probability and correlation of this module comes from
+    ``_project``, which this checks the input of."""
     if n_analyzers not in _ROUTES:
         raise ValidationError(f"the number of analyzers must be 2 or 3, got {n_analyzers!r}")
     phases = np.asarray(phases, dtype=np.float64)
