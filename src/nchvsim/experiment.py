@@ -24,11 +24,12 @@ eigenstates.  The states and the analyzer bras are written out below as
 literal arrays, with their derivation in comments.  Each bra is a
 phase-free part plus a part times z = e^{-i phi}, so every amplitude is a
 polynomial in the z of the k analyzers; its (2**k, 2**k) coefficients are
-contracted from the literal arrays once, at import.  A projection then
-forms the 2**k products of the z and multiplies them into that table.
-A single setting's probabilities and correlation are kept as Python
-floats for the per-outcome functions.  Closed-form counterparts are
-provided separately so tests can confront the two routes.
+contracted from the literal arrays once, at import.  One path projects:
+``_setting_table`` forms the 2**k products of one setting's z, multiplies
+them into that table and keeps the setting's probabilities and
+correlation as Python floats.  The per-outcome functions and
+``correlations`` all read it.  Closed-form counterparts are provided
+separately so tests can confront the two routes.
 """
 
 from __future__ import annotations
@@ -260,53 +261,6 @@ def conditional_state_after_trigger() -> np.ndarray:
     return (photon1 / np.linalg.norm(photon1)).reshape(4)
 
 
-def _outcome_table(n_analyzers: int, phases) -> np.ndarray:
-    """Born probabilities of all 2**k outcomes at N settings.
-
-    ``phases`` has shape (N, k) with columns (phi_a, phi_b[, phi_c]); the
-    result has shape (N, 2**k) with columns in ``OUTCOMES[k]`` order.
-    Every probability and correlation of this module comes from
-    ``_project``, which this checks the input of."""
-    if n_analyzers not in _ROUTES:
-        raise ValidationError(f"the number of analyzers must be 2 or 3, got {n_analyzers!r}")
-    phases = np.asarray(phases, dtype=np.float64)
-    if phases.ndim != 2 or phases.shape[0] < 1 or phases.shape[1] != n_analyzers:
-        raise ValidationError(
-            f"phases must have shape (N >= 1, {n_analyzers}), got {phases.shape}"
-        )
-    if not np.isfinite(phases).all():
-        raise ValidationError("phases must be finite")
-    return _project(_ROUTES[n_analyzers], phases)
-
-
-def _project(route: _Route, phases) -> np.ndarray:
-    """The only projection code: ``_outcome_table`` on checked phases.
-
-    Each row is computed on its own, so a setting's probabilities do not
-    depend on the other settings of its batch."""
-    n, k = phases.shape
-    factors = np.exp(phases[:, :, None] * _EXPONENTS)  # (N, k, 2): (1, z_j)
-    monomials = factors[:, 0]
-    for j in range(1, k):
-        monomials = (monomials[:, :, None] * factors[:, j, None, :]).reshape(n, -1)
-    amplitudes = monomials @ route.coefficients
-    # hypot rather than np.abs or amplitude * conj: those round differently,
-    # and the threshold study prints sums of these values in full.
-    return np.square(np.hypot(amplitudes.real, amplitudes.imag))
-
-
-def _expectations(n_analyzers: int, table: np.ndarray) -> np.ndarray:
-    """A*B(*C) expectation of each row of an outcome table.  Each row is
-    summed on its own: ``table @ products`` sums in an order that depends
-    on the number of rows, which would make a setting's correlation depend
-    on its batch."""
-    return (table * _ROUTES[n_analyzers].products).sum(axis=1)
-
-
-def _correlations(n_analyzers: int, phases) -> list[float]:
-    return _expectations(n_analyzers, _outcome_table(n_analyzers, phases)).tolist()
-
-
 # The per-outcome functions are called once per outcome of one setting, and
 # callers check a triple and a pair side by side, so the last two settings
 # projected are kept.
@@ -322,15 +276,33 @@ class _SettingTable(NamedTuple):
 
 @functools.lru_cache(maxsize=_SETTING_TABLES)
 def _setting_table(n_analyzers: int, phases: tuple) -> _SettingTable:
-    """Row of ``_outcome_table`` for one setting, and its correlation; both
-    equal the batched route's values bit for bit.
+    """Born probabilities of all 2**k outcomes at one setting, and their
+    A*B(*C) expectation.  Every probability and correlation of this module
+    is read from here.
 
     Phases that compare equal give bit-identical tables (0.0 and -0.0, 1
     and 1.0), so sharing their cache entry changes no probability."""
-    if len(phases) != n_analyzers or not all(map(math.isfinite, phases)):
-        raise ValidationError(f"expected {n_analyzers} finite phases, got {phases!r}")
-    table = _project(_ROUTES[n_analyzers], np.array([phases], dtype=np.float64))
-    return _SettingTable(tuple(table[0].tolist()), _expectations(n_analyzers, table).item())
+    route = _ROUTES.get(n_analyzers)
+    if route is None or len(phases) != n_analyzers or not all(map(math.isfinite, phases)):
+        raise ValidationError(
+            f"expected 2 or 3 analyzers and as many finite phases, "
+            f"got {n_analyzers!r} and {phases!r}"
+        )
+    table = _project(route, phases)
+    return _SettingTable(tuple(table.tolist()), (table * route.products).sum().item())
+
+
+def _project(route: _Route, phases) -> np.ndarray:
+    """The only projection code: the outcome probabilities of one setting,
+    in outcome order, from its k checked phases."""
+    factors = np.exp(np.array(phases, dtype=np.float64)[:, None] * _EXPONENTS)  # (k, 2): (1, z_j)
+    monomials = factors[0]
+    for factor in factors[1:]:
+        monomials = (monomials[:, None] * factor).reshape(-1)
+    amplitudes = monomials @ route.coefficients
+    # hypot rather than np.abs or amplitude * conj: those round differently,
+    # and the threshold study prints sums of these values in full.
+    return np.square(np.hypot(amplitudes.real, amplitudes.imag))
 
 
 def joint_probability_eventready(outcome: Outcome, setting: PhaseSetting) -> float:
@@ -353,7 +325,7 @@ def correlation_qm2(setting: PhaseSetting) -> float:
 
 
 def correlations(settings) -> list[float]:
-    """Quantum correlation of each setting, from one batched projection.
+    """Quantum correlation of each setting, projected setting by setting.
 
     All settings are three-analyzer (``correlation_qm3``) or all are
     event-ready (``correlation_qm2``)."""
@@ -362,4 +334,4 @@ def correlations(settings) -> list[float]:
     k = settings[0].analyzers
     if any(s.analyzers != k for s in settings):
         raise ValidationError("settings mix three-analyzer and event-ready configurations")
-    return _correlations(k, [[s.phi_a, s.phi_b, s.phi_c][:k] for s in settings])
+    return [_setting_table(k, (s.phi_a, s.phi_b, s.phi_c)[:k]).correlation for s in settings]

@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import EstimationError, ValidationError, is_finite
+from .errors import EstimationError, ValidationError, _require_int, is_finite
 from .experiment import (
     OUTCOMES,
     Outcome,
@@ -65,6 +65,8 @@ class CoincidenceCounts:
     detected: int
 
     def __post_init__(self):
+        _require_int("trials", self.trials)
+        _require_int("detected", self.detected)
         if self.trials <= 0:
             raise ValidationError(f"trials must be positive, got {self.trials!r}")
         if not self.counts.keys() <= _OUTCOME_SETS[self.setting.analyzers]:
@@ -73,8 +75,10 @@ class CoincidenceCounts:
                 f"by its outcomes, got {list(self.counts)!r}"
             )
         for outcome, n in self.counts.items():
-            if n < 0:
-                raise ValidationError(f"negative count for outcome {outcome!r}")
+            if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+                raise ValidationError(
+                    f"the count of outcome {outcome!r} must be a non-negative integer, got {n!r}"
+                )
         total = sum(self.counts.values())
         if total != self.detected:
             raise ValidationError(
@@ -136,6 +140,7 @@ def sample_counts(
     outcomes, in their fixed order, are counted by thresholds on those
     draws at the cumulative outcome probabilities.  Deterministic for a
     given seed."""
+    _require_int("trials", trials)
     if trials <= 0:
         raise ValidationError(f"trials must be positive, got {trials!r}")
     outcomes = OUTCOMES[setting.analyzers]

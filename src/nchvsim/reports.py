@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FixtureParseError, SimulationError, ValidationError, is_finite
+from .errors import FixtureParseError, SimulationError, ValidationError, _require_int, is_finite
 from .experiment import PhaseSetting, correlations
 from .montecarlo import (
     CorrelationEstimate,
@@ -147,9 +147,7 @@ class RunConfig:
                 f"experiment must be 'exp1' or 'exp2', got {self.experiment!r}"
             )
         for name in ("trials_per_setting", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            _require_int(name, getattr(self, name))
         if self.trials_per_setting <= 0:
             raise ValidationError("trials_per_setting must be positive")
         if self.seed < 0:
@@ -161,9 +159,14 @@ class RunConfig:
             if not is_finite(phi):
                 raise ValidationError("fixed phase lists must be finite")
         if self.sweep is not None:
+            if not isinstance(self.sweep, tuple) or len(self.sweep) != 3:
+                raise ValidationError(
+                    f"sweep must be a (start, stop, steps) tuple, got {self.sweep!r}"
+                )
             start, stop, steps = self.sweep
             if not (is_finite(start) and is_finite(stop)):
                 raise ValidationError("sweep endpoints must be finite")
+            _require_int("sweep steps", steps)
             if steps < 1:
                 raise ValidationError("sweep needs at least one step")
 

@@ -115,8 +115,9 @@ def test_sample_counts_efficiency_thinning():
 
 
 def test_sample_counts_validation():
-    with pytest.raises(ValidationError):
-        sample_counts(PhaseSetting(0.0, 0.0, 0.0), NoiseModel(), trials=0, seed=1)
+    for trials in (0, 2.5, 3.0, True, "10"):
+        with pytest.raises(ValidationError):
+            sample_counts(PhaseSetting(0.0, 0.0, 0.0), NoiseModel(), trials=trials, seed=1)
 
 
 def test_counts_consistency_validation():
@@ -125,6 +126,24 @@ def test_counts_consistency_validation():
         CoincidenceCounts(setting, {Outcome(+1, +1, +1): 3}, trials=10, detected=2)
     with pytest.raises(ValidationError):
         CoincidenceCounts(setting, {Outcome(+1, +1, +1): 3}, trials=2, detected=3)
+
+
+@pytest.mark.parametrize(
+    "counts, trials, detected",
+    [
+        ({Outcome(1, 1): 2.5, Outcome(-1, 1): 0.5}, 3, 3.0),  # fractional counts
+        ({Outcome(1, 1): 2, Outcome(-1, 1): 1}, 3, 3.0),  # float detected
+        ({Outcome(1, 1): 2, Outcome(-1, 1): 1}, 2.5, 3),  # fractional trials
+        ({Outcome(1, 1): 2, Outcome(-1, 1): 1}, 3.0, 3),  # float trials
+        ({Outcome(1, 1): 1}, True, 1),  # bools are not counts
+        ({Outcome(1, 1): 1}, 1, True),
+        ({Outcome(1, 1): True}, 1, 1),
+        ({Outcome(1, 1): 2, Outcome(-1, 1): -1}, 1, 1),  # a negative count
+    ],
+)
+def test_counts_must_be_integers(counts, trials, detected):
+    with pytest.raises(ValidationError, match="integer"):
+        CoincidenceCounts(PhaseSetting(0.0, 0.0), counts, trials, detected)
 
 
 @pytest.mark.parametrize("setting, outcome", [

@@ -1,4 +1,4 @@
-"""Property tests of the batched projection table that every quantum
+"""Property tests of the per-setting projection table that every quantum
 probability and correlation in ``nchvsim.experiment`` is read from."""
 
 import cmath
@@ -10,6 +10,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from einsum_route import bras
+from nchvsim import experiment
 from nchvsim.errors import ValidationError
 from nchvsim.experiment import (
     PAIR_OUTCOMES,
@@ -17,8 +18,7 @@ from nchvsim.experiment import (
     PhaseSetting,
     _ROUTES,
     _SETTING_TABLES,
-    _correlations,
-    _outcome_table,
+    _project,
     _setting_table,
     correlation_qm2,
     correlation_qm3,
@@ -43,13 +43,16 @@ def phase_tables(draw):
                                      min_size=n, max_size=n)))
 
 
+def _tables(k, phases):
+    """Each setting's probabilities, one row per setting."""
+    return np.array([_setting_table(k, tuple(row)).probabilities for row in phases.tolist()])
+
+
 @settings(max_examples=60, deadline=None)
 @given(phase_tables())
 def test_table_matches_scalar_wrappers_and_closed_forms(case):
     k, phases = case
-    table = _outcome_table(k, phases)
-    assert table.shape == (len(phases), 2**k)
-    setting_list = [PhaseSetting(*map(float, row)) for row in phases]
+    setting_list = [PhaseSetting(*row) for row in phases.tolist()]
     if k == 3:
         outcomes, projected, closed, correlation = (
             TRIPLE_OUTCOMES, joint_probability, joint_probability_closed_form,
@@ -58,22 +61,24 @@ def test_table_matches_scalar_wrappers_and_closed_forms(case):
         outcomes, projected, closed, correlation = (
             PAIR_OUTCOMES, joint_probability_eventready,
             joint_probability_eventready_closed_form, correlation_qm2)
-    batched = correlations(setting_list)
-    for row, setting, e_batched in zip(table, setting_list, batched):
-        for p, outcome in zip(row, outcomes):
-            assert abs(p - projected(outcome, setting)) <= 1e-12
+    listed = correlations(setting_list)
+    for row, setting, e_listed in zip(phases.tolist(), setting_list, listed):
+        table = _setting_table(k, tuple(row))
+        assert len(table.probabilities) == 2**k
+        for p, outcome in zip(table.probabilities, outcomes):
+            assert p == projected(outcome, setting)
             assert abs(p - closed(outcome, setting)) <= 1e-12
-        # bit-identical: a setting's correlation must not depend on its batch
-        assert e_batched == correlation(setting)
-        assert abs(e_batched - math.sin(setting.phase_sum())) <= 1e-12
-        assert type(e_batched) is float
+        # bit-identical: correlations reads each setting's own table
+        assert e_listed == correlation(setting) == table.correlation
+        assert abs(e_listed - math.sin(setting.phase_sum())) <= 1e-12
+        assert type(e_listed) is float
 
 
 @settings(max_examples=200, deadline=None)
 @given(phase_tables())
 def test_table_rows_are_distributions_with_uniform_marginals(case):
     k, phases = case
-    table = _outcome_table(k, phases)
+    table = _tables(k, phases)
     assert np.all(table >= 0.0)
     assert np.max(np.abs(table.sum(axis=1) - 1.0)) <= 1e-12
     by_analyzer = table.reshape((len(phases),) + (2,) * k)
@@ -105,7 +110,7 @@ def test_precontracted_table_matches_the_einsum_over_bras(k, n, data):
     )
     phases = np.array(data.draw(st.lists(st.lists(phase, min_size=k, max_size=k),
                                          min_size=n, max_size=n)))
-    assert np.max(np.abs(_outcome_table(k, phases) - _einsum_table(k, phases))) <= 1e-15
+    assert np.max(np.abs(_tables(k, phases) - _einsum_table(k, phases))) <= 1e-15
 
 
 def _kets_by_formula(k, phase, sign):
@@ -140,21 +145,21 @@ def test_table_bras_are_the_labelled_eigenstates(case):
 @pytest.mark.parametrize(
     "k, phases",
     [
-        (3, np.zeros(3)),  # one setting, not a table
-        (3, np.zeros((0, 3))),  # no settings
-        (3, np.zeros((4, 2))),  # columns do not match k
-        (2, np.zeros((4, 3))),
-        (2, np.zeros((2, 2, 2))),
-        (4, np.zeros((1, 4))),  # unsupported analyzer counts
-        (1, np.zeros((1, 1))),
-        (3, np.array([[0.0, math.nan, 0.0]])),
-        (2, np.array([[math.inf, 0.0]])),
-        (3, np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -math.inf]])),
+        (3, (0.0, 0.0)),  # fewer phases than analyzers
+        (3, ()),  # no phases
+        (3, (0.0, 0.0, 0.0, 0.0)),  # more phases than analyzers
+        (2, (0.0, 0.0, 0.0)),
+        (2, (0.0,)),
+        (4, (0.0, 0.0, 0.0, 0.0)),  # unsupported analyzer counts
+        (1, (0.0,)),
+        (3, (0.0, math.nan, 0.0)),
+        (2, (math.inf, 0.0)),
+        (3, (0.0, 0.0, -math.inf)),
     ],
 )
 def test_table_rejects_malformed_phase_arrays(k, phases):
     with pytest.raises(ValidationError):
-        _outcome_table(k, phases)
+        _setting_table(k, phases)
 
 
 def test_correlations_need_one_configuration():
@@ -195,7 +200,7 @@ def test_per_setting_functions_equal_a_fresh_projection(calls, cold):
     for phases, correlation_first in calls * 2:
         setting = PhaseSetting(*phases)
         k = len(phases)
-        fresh = _outcome_table(k, [phases])[0]
+        fresh = _setting_table.__wrapped__(k, phases)  # bypasses the cache
         if k == 3:
             outcomes, projected, correlation = (
                 TRIPLE_OUTCOMES, joint_probability, correlation_qm3)
@@ -207,9 +212,33 @@ def test_per_setting_functions_equal_a_fresh_projection(calls, cold):
         probabilities = [projected(outcome, setting) for outcome in outcomes]
         if not correlation_first:
             e = correlation(setting)
-        assert probabilities == fresh.tolist()
-        assert e == _correlations(k, [phases])[0]
+        assert probabilities == _project(_ROUTES[k], phases).tolist()
+        assert e == fresh.correlation
         assert type(e) is float
+
+
+def test_outcomes_and_correlation_of_a_new_setting_cost_one_projection(monkeypatch):
+    """A triple and a pair not yet projected, asked for side by side as the
+    exact-physics benchmark op does, cost one projection each."""
+    projections = []
+
+    def counted(route, phases):
+        projections.append(phases)
+        return _project(route, phases)
+
+    monkeypatch.setattr(experiment, "_project", counted)
+    _setting_table.cache_clear()
+    triple, pair = PhaseSetting(0.123, 0.456, 0.789), PhaseSetting(0.123, 0.456)
+    correlation_qm3(triple)
+    correlation_qm2(pair)
+    for outcome in TRIPLE_OUTCOMES:
+        joint_probability(outcome, triple)
+    for outcome in PAIR_OUTCOMES:
+        joint_probability_eventready(outcome, pair)
+    correlation_qm3(triple)
+    correlation_qm2(pair)
+    assert projections == [(0.123, 0.456, 0.789), (0.123, 0.456)]
+    assert _setting_table.cache_info().misses == 2
 
 
 def test_setting_table_is_read_only_and_bounded():

@@ -296,6 +296,24 @@ def test_run_config_rejects_non_integer_trials_and_seed(field, value):
         exp1_config(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        (0.0, 1.0, 2.5),  # fractional step count
+        (0.0, 1.0, 3.0),
+        (0.0, 1.0, True),  # a bool is not a step count
+        (0.0, 1.0, 0),
+        (0.0, 1.0),  # not a triple
+        (0.0, 1.0, 3, 4),
+        [0.0, 1.0, 3],
+        3,
+    ],
+)
+def test_run_config_rejects_a_sweep_that_is_not_a_start_stop_steps_triple(sweep):
+    with pytest.raises(ValidationError, match="sweep"):
+        exp1_config(phi_c_values=(0.0,), sweep=sweep)
+
+
 BIG = 10**400  # an int no float can hold: math.isfinite raises OverflowError on it
 
 
