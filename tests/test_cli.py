@@ -269,7 +269,9 @@ def test_replayed_zero_sigma_stays_exact(tmp_path):
     assert result.returncode == 0
     payload = json.loads(out.read_text())
     assert payload["derived"]["significance"] is None
-    assert "(exact, zero statistical uncertainty)" in payload["verdict"]["summary"]
+    assert payload["verdict"]["summary"] == (
+        "event-ready inequality violated: |3.600| > 2 (exact, zero statistical uncertainty)"
+    )
 
 
 @pytest.mark.parametrize("seed", ["3", "6"])

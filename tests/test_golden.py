@@ -22,6 +22,13 @@ CASES = {
     "replay_exp2": (["replay", "fixtures/exp2_reference.csv"], ".json"),
     "exp1": (["exp1", "--visibility", "0.885", "--trials", "10000", "--seed", "3"], ".json"),
     "exp2": (["exp2", "--visibility", "0.92", "--trials", "5000", "--seed", "4"], ".json"),
+    # The verdict's other branches: too few events of one sign, outcomes
+    # that never vary, and no violation.
+    "exp2_few_trials": (["exp2", "--trials", "5", "--seed", "3"], ".json"),
+    "exp1_deterministic": (["exp1", "--trials", "10000", "--seed", "1"], ".json"),
+    "exp2_satisfied": (
+        ["exp2", "--visibility", "0.6", "--trials", "5000", "--seed", "4"], ".json"
+    ),
     "bound_chsh": (["nchv-bound", "--expression", "chsh"], ".json"),
     "bound_mermin": (["nchv-bound", "--expression", "mermin"], ".json"),
     "threshold_chsh": (["threshold", "--expression", "chsh"], ".json"),
