@@ -278,34 +278,35 @@ def _config_echo(config: RunConfig) -> dict:
     }
 
 
-def _derive(
-    test: InequalityTest, estimates: list, analytic: list[float] | None
-) -> tuple[dict, dict]:
+def _report(config: dict, test: InequalityTest, estimates, analytic=None) -> Report:
     """Derived quantities and verdict from the estimates of the report
-    settings, in report order.  Each estimate carries ``value`` and
-    ``sigma``; simulated ones also carry their event count ``n``, and
-    ``analytic`` holds their noise-model correlations.  ``analytic`` is
-    None for replayed estimates."""
+    settings, in report order.  Each estimate carries its ``setting``,
+    ``value`` and ``sigma``; a simulated one also carries its event count
+    ``n``, and ``analytic`` holds the noise-model correlations of simulated
+    estimates.  ``analytic`` is None for replayed rows.
+
+    The verdict is assessed only with a real error estimate: sigma > 0,
+    and no simulated setting short of MIN_SIGN_COUNT coincidences of one
+    product sign.  A replayed sigma of 0 is exact."""
+    entries = []
+    short = []  # analytic correlations of the short simulated settings
+    for k, estimate in enumerate(estimates):
+        canon = estimate.setting.canonical()
+        entries.append({"phi_a": canon.phi_a, "phi_b": canon.phi_b, "phi_c": canon.phi_c,
+                        "value": estimate.value, "sigma": estimate.sigma})
+        if analytic is not None:
+            entries[-1].update(n=estimate.n, analytic=analytic[k])
+            # n(1 - |E|)/2 events carry the rarer product sign; the count is
+            # an integer, so rounding only removes float error.
+            if round(estimate.n * (1.0 - abs(estimate.value)) / 2.0) < MIN_SIGN_COUNT:
+                short.append(analytic[k])
     ordered = test.by_term(estimates)
     value = expression_value(test.terms, [e.value for e in ordered])
     _, sigma = propagate_error(
         [(e.value, e.sigma) for e in ordered], [term.sign for term in test.terms]
     )
-    simulated = analytic is not None
-    deterministic = False
-    if simulated:
-        # n(1 - |E|)/2 events carry the rarer product sign; the count is an
-        # integer, so rounding only removes float error.
-        short = [
-            a for e, a in zip(estimates, analytic)
-            if round(e.n * (1.0 - abs(e.value)) / 2.0) < MIN_SIGN_COUNT
-        ]
-        assessed = not short
-        # |E| is exactly 1 only at unit effective visibility and
-        # |sin(phase sum)| = 1: such a setting never gives the other sign.
-        deterministic = bool(short) and all(abs(a) == 1.0 for a in short)
-    else:
-        assessed = sigma > 0.0
+    # No short setting means every simulated |E| < 1, so sigma > 0 there.
+    assessed = not short and sigma > 0.0
     significance = (abs(value) - test.bound) / sigma if assessed else None
     derived = {
         "inequality_value": value,
@@ -329,69 +330,36 @@ def _derive(
             fourth_sigma=fourth[0].sigma,
         )
     violated = abs(value) > test.bound
-    verdict = {
-        "violated": violated,
-        "summary": _verdict_summary(
-            test.label, value, test.bound, significance, violated, simulated,
-            deterministic,
-        ),
-    }
-    return derived, verdict
-
-
-def _verdict_summary(
-    label: str,
-    value: float,
-    limit: float,
-    significance: float | None,
-    violated: bool,
-    simulated: bool,
-    deterministic: bool,
-) -> str:
-    """One-line verdict.  A sigma of 0 is exact for replayed inputs that
-    declare it; a simulated run without a significance had too few events,
-    or, if ``deterministic``, settings whose outcomes never vary."""
-    if simulated and significance is None:
+    if short:
         relation = ">" if violated else "<="
+        # |E| is exactly 1 only at unit effective visibility and
+        # |sin(phase sum)| = 1: such a setting never gives the other sign.
         cause = (
             "the outcomes are deterministic at these settings (analytic |E| = 1)"
-            if deterministic
+            if all(abs(a) == 1.0 for a in short)
             else "more trials are needed"
         )
-        return (
-            f"{label} inequality not assessed: |{value:.3f}| {relation} {limit:g} "
+        summary = (
+            f"{test.label} inequality not assessed: |{value:.3f}| {relation} {test.bound:g} "
             f"with no error estimate (a setting has fewer than {MIN_SIGN_COUNT} "
             f"coincidences of one product sign); {cause}"
         )
-    if not violated:
-        return (
-            f"{label} inequality satisfied: |{value:.3f}| <= {limit:g}; "
+    elif not violated:
+        summary = (
+            f"{test.label} inequality satisfied: |{value:.3f}| <= {test.bound:g}; "
             "no noncontextual model is excluded"
         )
-    if significance is None:
-        return (
-            f"{label} inequality violated: |{value:.3f}| > {limit:g} "
+    elif significance is None:
+        summary = (
+            f"{test.label} inequality violated: |{value:.3f}| > {test.bound:g} "
             "(exact, zero statistical uncertainty)"
         )
-    return (
-        f"{label} inequality violated: |{value:.3f}| > {limit:g} "
-        f"by {significance:.1f} standard deviations"
-    )
-
-
-def _report(config: dict, test: InequalityTest, estimates, analytic=None) -> Report:
-    """Report of simulated estimates or replayed rows, as ``_derive`` takes
-    them.  Each entry holds its setting's canonical phases in radians, its
-    value and sigma; a simulated one adds ``n`` and ``analytic``."""
-    entries = []
-    for k, estimate in enumerate(estimates):
-        canon = estimate.setting.canonical()
-        entries.append({"phi_a": canon.phi_a, "phi_b": canon.phi_b, "phi_c": canon.phi_c,
-                        "value": estimate.value, "sigma": estimate.sigma})
-        if analytic is not None:
-            entries[-1].update(n=estimate.n, analytic=analytic[k])
-    derived, verdict = _derive(test, estimates, analytic)
-    return Report(config, entries, derived, verdict)
+    else:
+        summary = (
+            f"{test.label} inequality violated: |{value:.3f}| > {test.bound:g} "
+            f"by {significance:.1f} standard deviations"
+        )
+    return Report(config, entries, derived, {"violated": violated, "summary": summary})
 
 
 def _simulate_report(config: RunConfig, experiment: str) -> Report:
