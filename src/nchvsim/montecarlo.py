@@ -103,17 +103,21 @@ class CorrelationEstimate:
     def __post_init__(self):
         if not -1.0 <= self.value <= 1.0:
             raise ValidationError(f"estimate {self.value!r} outside [-1, 1]")
-        if self.sigma < 0.0:
-            raise ValidationError("sigma must be >= 0")
+        if not (is_finite(self.sigma) and self.sigma >= 0.0):
+            raise ValidationError(f"sigma must be finite and >= 0, got {self.sigma!r}")
+        _require_int("sample size", self.n)
         if self.n <= 0:
             raise ValidationError("sample size must be positive")
 
 
 def counting_sigma(value: float, n: int) -> float:
     """Standard error of a mean of n independent +-1 observations."""
+    if not -1.0 <= value <= 1.0:
+        raise ValidationError(f"a mean of +-1 observations lies in [-1, 1], got {value!r}")
+    _require_int("sample size", n)
     if n <= 0:
         raise ValidationError("sample size must be positive")
-    return math.sqrt(max(0.0, 1.0 - value * value) / n)
+    return math.sqrt((1.0 - value * value) / n)
 
 
 def noisy_probability(outcome: Outcome, setting: PhaseSetting, noise: NoiseModel) -> float:

@@ -155,6 +155,9 @@ class RunConfig:
         for name in ("phi_a", "phi_a_prime"):
             if not is_finite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
+        for name in ("phi_b_values", "phi_c_values"):
+            if not isinstance(getattr(self, name), tuple):
+                raise ValidationError(f"{name} must be a tuple, got {getattr(self, name)!r}")
         for phi in self.phi_b_values + self.phi_c_values:
             if not is_finite(phi):
                 raise ValidationError("fixed phase lists must be finite")
@@ -217,6 +220,8 @@ def scan_phase(config: RunConfig) -> list[ScanRow]:
     """Fringe scan: sweep phi_a against each fixed analyzer combination."""
     if config.sweep is None:
         raise ValidationError("scan_phase needs a sweep in the configuration")
+    if not config.phi_b_values:
+        raise ValidationError("scans need at least one phi_b value")
     if config.experiment == "exp1" and not config.phi_c_values:
         raise ValidationError("exp1 scans need at least one phi_c value")
     if config.experiment == "exp2" and config.phi_c_values:
@@ -279,8 +284,8 @@ def _config_echo(config: RunConfig) -> dict:
 
 
 def _report(config: dict, test: InequalityTest, estimates, analytic=None) -> Report:
-    """Derived quantities and verdict from the estimates of the report
-    settings, in report order.  Each estimate carries its ``setting``,
+    """Entries, derived quantities and verdict from the estimates of the
+    report settings, in report order.  Each estimate carries its ``setting``,
     ``value`` and ``sigma``; a simulated one also carries its event count
     ``n``, and ``analytic`` holds the noise-model correlations of simulated
     estimates.  ``analytic`` is None for replayed rows.

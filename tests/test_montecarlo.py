@@ -16,6 +16,7 @@ from nchvsim.experiment import (
 )
 from nchvsim.montecarlo import (
     CoincidenceCounts,
+    CorrelationEstimate,
     NoiseModel,
     counting_sigma,
     estimate_correlation_exp1,
@@ -284,6 +285,23 @@ def test_propagate_error_validation():
 def test_propagate_error_rejects_unusable_values(value):
     with pytest.raises(ValidationError, match="estimate values must be finite"):
         propagate_error([(value, 0.1)], [1])
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (CorrelationEstimate, (0.5, math.nan, 10, PhaseSetting(0.0, 0.0))),
+        (CorrelationEstimate, (0.5, math.inf, 10, PhaseSetting(0.0, 0.0))),
+        (CorrelationEstimate, (0.5, 0.1, 2.5, PhaseSetting(0.0, 0.0))),
+        (CorrelationEstimate, (0.5, 0.1, True, PhaseSetting(0.0, 0.0))),
+        (counting_sigma, (math.nan, 10)),  # used to give a sigma of 0.0
+        (counting_sigma, (2.0, 10)),  # likewise
+        (counting_sigma, (0.5, 2.5)),
+    ],
+)
+def test_degenerate_estimates_are_rejected(make, args):
+    with pytest.raises(ValidationError):
+        make(*args)
 
 
 def test_counting_sigma_formula():

@@ -155,6 +155,10 @@ def test_scan_requires_sweep_and_consistent_phase_lists():
                 sweep=(0.0, 1.0, 2),
             )
         )
+    for config in (exp1_config(phi_b_values=(), phi_c_values=(0.0,), sweep=(0.0, 1.0, 2)),
+                   exp2_config(phi_b_values=(), sweep=(0.0, 1.0, 2))):
+        with pytest.raises(ValidationError, match="phi_b"):
+            scan_phase(config)
 
 
 def test_scan_csv_bytes_reproduce(tmp_path):
@@ -312,6 +316,13 @@ def test_run_config_rejects_non_integer_trials_and_seed(field, value):
 def test_run_config_rejects_a_sweep_that_is_not_a_start_stop_steps_triple(sweep):
     with pytest.raises(ValidationError, match="sweep"):
         exp1_config(phi_c_values=(0.0,), sweep=sweep)
+
+
+@pytest.mark.parametrize("field", ["phi_b_values", "phi_c_values"])
+def test_run_config_requires_tuples_of_phases(field):
+    # a list used to end in a TypeError (list + tuple)
+    with pytest.raises(ValidationError, match=field):
+        exp1_config(**{field: [0.0]})
 
 
 BIG = 10**400  # an int no float can hold: math.isfinite raises OverflowError on it
@@ -771,13 +782,17 @@ def test_replay_of_arbitrary_bytes_reports_or_raises_parse_error(tmp_path_factor
 @settings(max_examples=60, deadline=None)
 @given(
     experiment=st.sampled_from(["exp1", "exp2"]),
+    visibility=st.sampled_from([0.95, 1.0]) | st.floats(0.5, 1.0),
+    background=st.just(0.0) | st.floats(0.0, 0.1),
     trials=st.integers(1, 60),
     seed=st.integers(0, 2**31),
 )
-def test_simulated_significance_needs_five_events_of_each_sign(experiment, trials, seed):
+def test_simulated_significance_needs_five_events_of_each_sign(
+    experiment, visibility, background, trials, seed
+):
     config = RunConfig(
         experiment=experiment,
-        noise=NoiseModel(visibility=0.95),
+        noise=NoiseModel(visibility=visibility, background=background),
         trials_per_setting=trials,
         seed=seed,
         phi_a=HALF_PI if experiment == "exp1" else math.pi / 4.0,
@@ -787,13 +802,19 @@ def test_simulated_significance_needs_five_events_of_each_sign(experiment, trial
         report = (run_exp1_report if experiment == "exp1" else run_exp2_report)(config)
     except EstimationError:
         return  # no A=+1 events at some exp1 setting
-    fewest = min(
-        round(e["n"] * (1.0 - abs(e["value"])) / 2.0) for e in report.estimates
-    )
-    significance = report.derived["significance"]
-    assert (significance is not None) == (fewest >= 5)
-    if significance is None:
-        assert "no error estimate" in report.verdict["summary"]
-        assert "more trials are needed" in report.verdict["summary"]
+    short = [
+        e for e in report.estimates if round(e["n"] * (1.0 - abs(e["value"])) / 2.0) < 5
+    ]
+    summary = report.verdict["summary"]
+    assert (report.derived["significance"] is None) == bool(short)
+    assert "exact" not in summary
+    if short:
+        deterministic = all(abs(e["analytic"]) == 1.0 for e in short)
+        assert "no error estimate" in summary
+        assert summary.endswith(
+            "the outcomes are deterministic at these settings (analytic |E| = 1)"
+            if deterministic
+            else "more trials are needed"
+        )
     else:
-        assert "standard deviations" in report.verdict["summary"] or not report.verdict["violated"]
+        assert "standard deviations" in summary or not report.verdict["violated"]
