@@ -18,15 +18,15 @@ from .reports import (
     EXPRESSIONS,
     TESTS,
     RunConfig,
+    json_text,
     render_report_text,
     replay,
+    report_json_text,
     run_exp1_report,
     run_exp2_report,
     scan_csv_text,
     scan_phase,
     threshold_study,
-    write_report_json,
-    write_scan_csv,
 )
 
 # Default generator seed; fixed so that a bare invocation reproduces.
@@ -91,7 +91,7 @@ def _add_inequality_phase_flags(parser: argparse.ArgumentParser, experiment: str
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The parser and its subparsers, built on first use and shared by every
     later call in the process; callers must leave its defaults as they found
-    them."""
+    them.  Each subparser's ``run`` default is its handler."""
     parser = _Parser(
         prog="nchvsim",
         description=(
@@ -113,22 +113,21 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                       help="phi_a sweep start:stop:steps, units of pi (default -1:1:25)")
     scan.add_argument("--out", help="CSV output path (default: stdout)")
     scan.add_argument("--config", help="JSON file with defaults for these flags")
+    scan.set_defaults(run=_run_scan)
 
-    exp1 = sub.add_parser("exp1", help="run the three-analyzer inequality report")
-    _add_noise_flags(exp1)
-    _add_inequality_phase_flags(exp1, "exp1")
-    exp1.add_argument("--out", help="JSON report path")
-    exp1.add_argument("--config", help="JSON file with defaults for these flags")
-
-    exp2 = sub.add_parser("exp2", help="run the event-ready CHSH report")
-    _add_noise_flags(exp2)
-    _add_inequality_phase_flags(exp2, "exp2")
-    exp2.add_argument("--out", help="JSON report path")
-    exp2.add_argument("--config", help="JSON file with defaults for these flags")
+    for name, help_text in (("exp1", "run the three-analyzer inequality report"),
+                            ("exp2", "run the event-ready CHSH report")):
+        report = sub.add_parser(name, help=help_text)
+        _add_noise_flags(report)
+        _add_inequality_phase_flags(report, name)
+        report.add_argument("--out", help="JSON report path")
+        report.add_argument("--config", help="JSON file with defaults for these flags")
+        report.set_defaults(run=_run_report)
 
     bound = sub.add_parser("nchv-bound", help="enumerate a classical bound")
     bound.add_argument("--expression", choices=sorted(EXPRESSIONS), required=True)
     bound.add_argument("--out", help="JSON output path")
+    bound.set_defaults(run=_run_bound)
 
     threshold = sub.add_parser(
         "threshold", help="minimum visibility that still violates the bound"
@@ -137,6 +136,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     threshold.add_argument("--resolution", type=float, default=1e-4,
                            help="visibility scan step (default 1e-4)")
     threshold.add_argument("--out", help="JSON output path")
+    threshold.set_defaults(run=_run_threshold)
 
     rep = sub.add_parser(
         "replay", help="recompute derived quantities from measured correlations"
@@ -145,15 +145,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                      help="CSV with header phi_a,phi_b,phi_c,E,sigma; phases in "
                           "units of pi, phi_c blank for event-ready rows")
     rep.add_argument("--out", help="JSON report path")
+    rep.set_defaults(run=_run_report)
 
-    return parser, {
-        "scan": scan,
-        "exp1": exp1,
-        "exp2": exp2,
-        "nchv-bound": bound,
-        "threshold": threshold,
-        "replay": rep,
-    }
+    return parser, dict(sub.choices)
 
 
 def _config_path(argv: list[str]) -> str | None:
@@ -221,7 +215,7 @@ def _noise_from_args(args) -> NoiseModel:
     return NoiseModel(args.visibility, args.efficiency, args.background)
 
 
-def _run_scan(args) -> int:
+def _run_scan(args) -> tuple[str | None, str]:
     phi_c = args.phi_c
     if phi_c is None:
         phi_c = (0.0,) if args.experiment == "exp1" else ()
@@ -236,15 +230,13 @@ def _run_scan(args) -> int:
         sweep=args.sweep,
     )
     rows = scan_phase(config)
+    text = scan_csv_text(rows)
     if args.out:
-        write_scan_csv(rows, args.out)
-        print(f"wrote {len(rows)} scan rows to {args.out}")
-    else:
-        sys.stdout.write(scan_csv_text(rows))
-    return 0
+        return text, f"wrote {len(rows)} scan rows to {args.out}\n"
+    return None, text
 
 
-def _run_report(args) -> int:
+def _run_report(args) -> tuple[str | None, str]:
     if args.command == "replay":
         report = replay(args.values_file)
     else:
@@ -258,44 +250,30 @@ def _run_report(args) -> int:
         )
         run = run_exp1_report if args.command == "exp1" else run_exp2_report
         report = run(config)
-    if args.out:
-        write_report_json(report, args.out)
-    sys.stdout.write(render_report_text(report))
-    return 0
+    return report_json_text(report) if args.out else None, render_report_text(report)
 
 
-def _write_json(payload: dict, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _run_bound(args) -> int:
+def _run_bound(args) -> tuple[str | None, str]:
     test = EXPRESSIONS[args.expression]
     payload = {
         "expression": args.expression,
         "classical_bound": test.bound,
         "assignments_enumerated": 2 ** test.grid.total_bits(),
     }
-    if args.out:
-        _write_json(payload, args.out)
-    print(
+    return json_text(payload) if args.out else None, (
         f"{args.expression}: classical bound {test.bound:g} "
-        f"({payload['assignments_enumerated']} assignments enumerated)"
+        f"({payload['assignments_enumerated']} assignments enumerated)\n"
     )
-    return 0
 
 
-def _run_threshold(args) -> int:
+def _run_threshold(args) -> tuple[str | None, str]:
     result = threshold_study(args.expression, args.resolution)
-    if args.out:
-        _write_json(result, args.out)
-    print(
+    return json_text(result) if args.out else None, (
         f"{result['expression']}: violation requires visibility > "
         f"{result['threshold_visibility']:.4f} "
         f"(classical bound {result['classical_bound']:g}, resolution "
-        f"{result['resolution']:g})"
+        f"{result['resolution']:g})\n"
     )
-    return 0
 
 
 # Values of these flags may start with "-" (negative phases) without looking
@@ -319,6 +297,9 @@ def _merge_flag_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  Its handler returns the ``--out`` text (None
+    without ``--out``) and the stdout text, and only this function writes
+    them, so a failed write exits 2 like a failed computation."""
     argv = _merge_flag_values(list(sys.argv[1:] if argv is None else argv))
     parser, subparsers = build_parser()
     target, defaults = _apply_config_file(parser, subparsers, argv)
@@ -328,22 +309,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     finally:
         target.set_defaults(**saved)
-    handlers = {
-        "scan": _run_scan,
-        "exp1": _run_report,
-        "exp2": _run_report,
-        "nchv-bound": _run_bound,
-        "threshold": _run_threshold,
-        "replay": _run_report,
-    }
     try:
-        return handlers[args.command](args)
-    except SimulationError as exc:
+        file_text, stdout_text = args.run(args)
+        if file_text is not None:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(file_text)
+        sys.stdout.write(stdout_text)
+    except (SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return COMPUTATION_EXIT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return COMPUTATION_EXIT
+    return 0
 
 
 if __name__ == "__main__":

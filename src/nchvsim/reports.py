@@ -3,8 +3,10 @@ replay of externally measured correlations.
 
 Serialization rules, chosen so identical configurations reproduce identical
 bytes: CSV columns are fixed, floats carry 12 significant digits, lines end
-with LF; JSON reports sort their keys and keep full float precision.  A
-separate text rendering rounds for reading.
+with LF.  Every JSON file the package writes (reports, bounds, threshold
+studies) takes the form of ``json_text``: 2-space indent, sorted keys, full
+float precision, a trailing LF, and NaN refused.  A separate text
+rendering rounds for reading.
 """
 
 from __future__ import annotations
@@ -336,7 +338,6 @@ def _report(config: dict, test: InequalityTest, estimates, analytic=None) -> Rep
         )
     violated = abs(value) > test.bound
     if short:
-        relation = ">" if violated else "<="
         # |E| is exactly 1 only at unit effective visibility and
         # |sin(phase sum)| = 1: such a setting never gives the other sign.
         cause = (
@@ -344,26 +345,18 @@ def _report(config: dict, test: InequalityTest, estimates, analytic=None) -> Rep
             if all(abs(a) == 1.0 for a in short)
             else "more trials are needed"
         )
-        summary = (
-            f"{test.label} inequality not assessed: |{value:.3f}| {relation} {test.bound:g} "
-            f"with no error estimate (a setting has fewer than {MIN_SIGN_COUNT} "
+        state, tail = "not assessed", (
+            f" with no error estimate (a setting has fewer than {MIN_SIGN_COUNT} "
             f"coincidences of one product sign); {cause}"
         )
     elif not violated:
-        summary = (
-            f"{test.label} inequality satisfied: |{value:.3f}| <= {test.bound:g}; "
-            "no noncontextual model is excluded"
-        )
+        state, tail = "satisfied", "; no noncontextual model is excluded"
     elif significance is None:
-        summary = (
-            f"{test.label} inequality violated: |{value:.3f}| > {test.bound:g} "
-            "(exact, zero statistical uncertainty)"
-        )
+        state, tail = "violated", " (exact, zero statistical uncertainty)"
     else:
-        summary = (
-            f"{test.label} inequality violated: |{value:.3f}| > {test.bound:g} "
-            f"by {significance:.1f} standard deviations"
-        )
+        state, tail = "violated", f" by {significance:.1f} standard deviations"
+    relation = ">" if violated else "<="
+    summary = f"{test.label} inequality {state}: |{value:.3f}| {relation} {test.bound:g}{tail}"
     return Report(config, entries, derived, {"violated": violated, "summary": summary})
 
 
@@ -619,14 +612,13 @@ def replay(path) -> Report:
     return _report(config, TESTS[experiment], _match(TESTS[experiment], rows))
 
 
-def report_json_text(report: Report) -> str:
-    payload = {
-        "config": report.config,
-        "estimates": report.estimates,
-        "derived": report.derived,
-        "verdict": report.verdict,
-    }
+def json_text(payload: dict) -> str:
+    """The JSON form of every file the package writes."""
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def report_json_text(report: Report) -> str:
+    return json_text(vars(report))
 
 
 def write_report_json(report: Report, path) -> None:

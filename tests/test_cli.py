@@ -151,6 +151,23 @@ def test_threshold_below_finest_resolution_exits_2(resolution):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan", "--experiment", "exp2", "--trials", "100", "--sweep", "0:0.5:3"),
+    ("exp1", "--trials", "1000"),
+    ("exp2", "--trials", "1000"),
+    ("nchv-bound", "--expression", "chsh"),
+    ("threshold", "--expression", "chsh"),
+    ("replay", str(FIXTURES / "exp2_reference.csv")),
+], ids=lambda argv: argv[0])
+def test_unwritable_out_exits_2_with_one_error_line(tmp_path, argv):
+    result = run_cli(*argv, "--out", str(tmp_path / "missing" / "x"))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+
+
 def test_threshold_subcommand(tmp_path):
     out = tmp_path / "threshold.json"
     result = run_cli("threshold", "--expression", "chsh", "--out", str(out))
