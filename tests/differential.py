@@ -44,6 +44,8 @@ INPUTS = {
     "non_numeric_e.csv": "phi_a,phi_b,phi_c,E,sigma\n0.46,0,0,not-a-number,0.005\n",
     "unknown_key.json": '{"no-such-flag": 1}\n',
     "number_out.json": '{"out": 7}\n',
+    "run.json": '{"visibility": 0.885, "trials": 4000, "seed": 17}\n',
+    "float_trials.json": '{"trials": 1.5}\n',
 }
 
 # Seeded library calls, run as ``python -c LIBRARY SECTION``.
@@ -102,6 +104,19 @@ def corpus() -> list[tuple[str, list[str], str | None]]:
     errors = {
         "config unknown key": ["exp1", "--config", "{tmp}/unknown_key.json"],
         "config number out": ["exp2", "--config", "{tmp}/number_out.json"],
+        "config abbreviated flag": ["exp1", "--conf", "{tmp}/run.json"],
+        "config run then float_trials": ["exp1", "--config", "{tmp}/run.json",
+                                         "--config", "{tmp}/float_trials.json"],
+        "config float_trials then run": ["exp1", "--config", "{tmp}/float_trials.json",
+                                         "--config", "{tmp}/run.json"],
+        "config without a value": ["exp1", "--config"],
+        "config without a subcommand": ["--config", "{tmp}/run.json"],
+        "config on replay": ["replay", "fixtures/exp2_reference.csv",
+                             "--config", "{tmp}/run.json"],
+        "config after a bad flag": ["exp1", "--trials", "x",
+                                    "--config", "{tmp}/float_trials.json"],
+        "config with an explicit flag": ["exp1", "--config", "{tmp}/run.json",
+                                         "--trials", "2000"],
         "equal phases": ["exp1", "--phi-a", "0.25", "--phi-a-prime", "0.25", "--trials", "100"],
         "replay non-numeric E": ["replay", "{tmp}/non_numeric_e.csv", "--out", "{tmp}/x.json"],
         "replay missing file": ["replay", "{tmp}/missing.csv"],
