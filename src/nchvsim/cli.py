@@ -90,8 +90,8 @@ def _add_inequality_phase_flags(parser: argparse.ArgumentParser, experiment: str
 @functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The parser and its subparsers, built on first use and shared by every
-    later call in the process; callers must leave its defaults as they found
-    them.  Each subparser's ``run`` default is its handler."""
+    later call in the process; nothing modifies them after they are built.
+    Each subparser's ``run`` default is its handler."""
     parser = _Parser(
         prog="nchvsim",
         description=(
@@ -150,38 +150,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, dict(sub.choices)
 
 
-def _config_path(argv: list[str]) -> str | None:
-    for index, token in enumerate(argv):
-        if token == "--config":
-            if index + 1 >= len(argv):
-                return ""
-            return argv[index + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
+def _config_defaults(parser: argparse.ArgumentParser, target: argparse.ArgumentParser,
+                     command: str, path: str) -> dict:
+    """Read a JSON config file into converted defaults for ``target``, the
+    subparser of ``command``.
 
-
-def _apply_config_file(
-    parser: argparse.ArgumentParser,
-    subparsers: dict[str, argparse.ArgumentParser],
-    argv: list[str],
-) -> tuple[argparse.ArgumentParser, dict]:
-    """Read a JSON config file into defaults for the active subcommand.
-
-    Returns the subparser and its converted defaults, or the top-level
-    parser and no defaults when no ``--config`` is given.  Each value goes
-    through its flag's own argparse ``type`` as ``str(value)``, and a flag
-    without a ``type`` takes only a JSON string, so a config file obeys the
-    rules of the command line.  Explicit flags still win
-    because argparse applies them after defaults."""
-    path = _config_path(argv)
-    if path is None:
-        return parser, {}
+    Each value goes through its flag's own argparse ``type`` as
+    ``str(value)``, and a flag without a ``type`` takes only a JSON string,
+    so a config file obeys the rules of the command line.  Errors go
+    through the top-level ``parser``."""
     if path == "":
         parser.error("--config needs a file path")
-    command = next((token for token in argv if token in subparsers), None)
-    if command is None:
-        parser.error("--config requires a subcommand")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             values = json.load(handle)
@@ -191,7 +170,6 @@ def _apply_config_file(
         parser.error(f"bad config file: {exc}")
     if not isinstance(values, dict):
         parser.error("config file must hold a JSON object")
-    target = subparsers[command]
     actions = {action.dest: action for action in target._actions}
     defaults = {}
     for key, value in values.items():
@@ -208,7 +186,7 @@ def _apply_config_file(
             except (argparse.ArgumentTypeError, ValueError) as exc:
                 parser.error(f"config key {key!r}: {exc}")
         defaults[name] = value
-    return target, defaults
+    return defaults
 
 
 def _noise_from_args(args) -> NoiseModel:
@@ -302,13 +280,16 @@ def main(argv: list[str] | None = None) -> int:
     them, so a failed write exits 2 like a failed computation."""
     argv = _merge_flag_values(list(sys.argv[1:] if argv is None else argv))
     parser, subparsers = build_parser()
-    target, defaults = _apply_config_file(parser, subparsers, argv)
-    saved = {name: target.get_default(name) for name in defaults}
-    target.set_defaults(**defaults)
-    try:
-        args = parser.parse_args(argv)
-    finally:
-        target.set_defaults(**saved)
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is not None:
+        # Parse the subcommand's tokens again onto the config values: argparse
+        # fills in only the defaults a namespace lacks, so explicit flags win.
+        # The subparser is called directly because the top-level parse would
+        # start it from a fresh namespace.
+        target = subparsers[args.command]
+        defaults = _config_defaults(parser, target, args.command, args.config)
+        namespace = argparse.Namespace(command=args.command, **defaults)
+        args = target.parse_args(argv[argv.index(args.command) + 1:], namespace)
     try:
         file_text, stdout_text = args.run(args)
         if file_text is not None:

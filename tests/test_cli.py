@@ -197,6 +197,45 @@ def test_config_file_supplies_defaults(tmp_path):
     assert "trials=2000" in override.stdout
 
 
+def test_config_flag_may_be_abbreviated(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"visibility": 0.885, "trials": 4000, "seed": 17}))
+    result = run_cli("exp1", "--conf", str(config))
+    assert result.returncode == 0
+    assert "visibility=0.885 efficiency=1 background=0 trials=4000 seed=17" in result.stdout
+
+
+def test_last_config_flag_wins(tmp_path):
+    first, last = tmp_path / "first.json", tmp_path / "last.json"
+    first.write_text(json.dumps({"trials": 4000}))
+    last.write_text(json.dumps({"trials": 3000}))
+    result = run_cli("exp1", "--config", str(first), "--config", str(last))
+    assert result.returncode == 0
+    assert "trials=3000" in result.stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["replay", str(FIXTURES / "exp2_reference.csv")],
+    ["nchv-bound", "--expression", "chsh"],
+    ["threshold", "--expression", "chsh"],
+], ids=["replay", "nchv-bound", "threshold"])
+def test_config_is_not_a_flag_of_the_other_subcommands(tmp_path, argv):
+    missing = tmp_path / "missing.json"
+    result = run_cli(*argv, "--config", str(missing))
+    assert result.returncode == 1
+    assert f"error: unrecognized arguments: --config {missing}" in result.stderr
+    assert "cannot read config file" not in result.stderr
+
+
+def test_bad_explicit_flag_is_reported_before_a_bad_config_file(tmp_path):
+    config = tmp_path / "bad.json"
+    config.write_text("{not json")
+    result = run_cli("exp1", "--trials", "x", "--config", str(config))
+    assert result.returncode == 1
+    assert "error: argument --trials: invalid int value: 'x'" in result.stderr
+    assert "bad config file" not in result.stderr
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"no-such-flag": 1}))
