@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 from .errors import SimulationError
@@ -39,6 +40,13 @@ COMPUTATION_EXIT = 2
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad usage; this package reserves 2
     for computation errors, so usage failures are remapped to 1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes -1:1:25, -0.5,0.5 and -1e-3 for flags;
+        # no flag here starts like a negative number, so every such token is a
+        # value.  Subparsers are built from type(self) and inherit this.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -254,31 +262,11 @@ def _run_threshold(args) -> tuple[str | None, str]:
     )
 
 
-# Values of these flags may start with "-" (negative phases) without looking
-# like plain negative numbers to argparse; fold them into --flag=value form.
-_MERGED_VALUE_FLAGS = ("--sweep", "--phi-b", "--phi-c")
-
-
-def _merge_flag_values(argv: list[str]) -> list[str]:
-    merged = []
-    skip = False
-    for index, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in _MERGED_VALUE_FLAGS and index + 1 < len(argv):
-            merged.append(f"{token}={argv[index + 1]}")
-            skip = True
-        else:
-            merged.append(token)
-    return merged
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand.  Its handler returns the ``--out`` text (None
     without ``--out``) and the stdout text, and only this function writes
     them, so a failed write exits 2 like a failed computation."""
-    argv = _merge_flag_values(list(sys.argv[1:] if argv is None else argv))
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None) is not None:

@@ -5,11 +5,12 @@
 Unpacks REV's ``src/`` with ``git archive`` into a temporary directory and
 runs one fixed corpus under that tree and under this checkout's ``src``:
 CLI commands (the golden argvs with and without ``--out``, every
-``--help``, the edge verdicts, replays of files written here, and the
-error exits) and a seeded library corpus printed as ``float.hex()``.  Each
-case runs in a subprocess with ``PYTHONPATH`` set to one tree's ``src``,
-``COLUMNS=80`` and the repository root as working directory; the two trees
-alternate which runs first.  A case compares exit code, stdout, stderr and
+``--help``, the edge verdicts, replays of files written here, flag values
+that start with ``-``, and the error exits) and a seeded library corpus
+printed as ``float.hex()``.  Each case runs in a subprocess with
+``PYTHONPATH`` set to one tree's ``src``, ``COLUMNS=80`` and the
+repository root as working directory; the two trees alternate which runs
+first.  A case compares exit code, stdout, stderr and
 ``--out`` bytes, with the temporary directory and the trees' paths
 replaced by placeholders.  One line is printed per case, naming the first
 differing byte; the exit status is 1 if any case differs.
@@ -101,6 +102,8 @@ def corpus() -> list[tuple[str, list[str], str | None]]:
         cases.append((" ".join(argv), cli + argv, ".json"))
     for stem in ("zero_sigma_exp2", "zero_sigma_exp1", "satisfied_exp2"):
         cases.append((f"replay {stem}", cli + ["replay", f"{{tmp}}/{stem}.csv"], ".json"))
+    scan1 = ["scan", "--experiment", "exp1", "--trials", "10", "--seed", "1"]
+    scan2 = ["scan", "--experiment", "exp2", "--trials", "10", "--seed", "1"]
     errors = {
         "config unknown key": ["exp1", "--config", "{tmp}/unknown_key.json"],
         "config number out": ["exp2", "--config", "{tmp}/number_out.json"],
@@ -123,6 +126,13 @@ def corpus() -> list[tuple[str, list[str], str | None]]:
         "threshold resolution 1e-13": ["threshold", "--expression", "chsh",
                                        "--resolution", "1e-13"],
         "trials x": ["exp1", "--trials", "x"],
+        "sweep -1:1:3": [*scan2, "--sweep", "-1:1:3"],
+        "swe -1:1:3": [*scan2, "--swe", "-1:1:3"],
+        "phi-b -0.5,0.5": [*scan1, "--phi-b", "-0.5,0.5"],
+        "phi-c -0.5": [*scan1, "--phi-c", "-0.5"],
+        "visibility -1e-3": ["exp1", "--visibility", "-1e-3"],
+        "trials -1e3": ["exp1", "--trials", "-1e3"],
+        "phi-a -1e-3": ["exp1", "--phi-a", "-1e-3", "--trials", "1000"],
         "out into a directory": ["exp2", "--trials", "100", "--out", "{tmp}"],
     }
     first = {}  # the first golden argv of each subcommand

@@ -121,6 +121,44 @@ def test_validation_errors_exit_2():
     ).returncode == 2
 
 
+def _main(argv, capsys):
+    """Exit code and stdout of an in-process cli.main call."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+_SCAN2 = ("scan", "--experiment", "exp2", "--trials", "10", "--seed", "1")
+_SCAN1 = ("scan", "--experiment", "exp1", "--trials", "10", "--seed", "1")
+
+
+@pytest.mark.parametrize("argv, flag, given, value", [
+    (_SCAN2, "--sweep", "--swe", "-1:1:3"),
+    (_SCAN2, "--sweep", "--sweep", "-1:1:3"),
+    (_SCAN1, "--phi-b", "--phi-b", "-0.5,0.5"),
+    (_SCAN1, "--phi-c", "--phi-c", "-0.5"),
+], ids=["swe", "sweep", "phi-b", "phi-c"])
+def test_value_starting_with_minus_may_follow_a_space(capsys, argv, flag, given, value):
+    # argparse reads such a value after any unambiguous abbreviation
+    spaced = _main([*argv, given, value], capsys)
+    joined = _main([*argv, f"{flag}={value}"], capsys)
+    assert spaced == joined
+    assert spaced[0] == 0
+
+
+def test_negative_exponent_values_reach_their_flags_checks():
+    visibility = run_cli("exp1", "--visibility", "-1e-3")
+    assert visibility.returncode == 2
+    assert visibility.stderr == "error: visibility must be in [0, 1], got -0.001\n"
+    trials = run_cli("exp1", "--trials", "-1e3")
+    assert trials.returncode == 1
+    assert "argument --trials: invalid int value: '-1e3'" in trials.stderr
+    phase = run_cli("exp1", "--phi-a", "-1e-3", "--trials", "1000")
+    assert phase.returncode == 0, phase.stderr
+
+
 @pytest.mark.parametrize("argv, message", [
     (("exp1", "--trials", "1", "--seed", "0"),
      "error: no A=+1 coincidences recorded; cannot estimate\n"),
