@@ -87,9 +87,6 @@ class CoincidenceCounts:
         if self.detected > self.trials:
             raise ValidationError("detected events cannot exceed trials")
 
-    def outcomes(self) -> tuple[Outcome, ...]:
-        return OUTCOMES[self.setting.analyzers]
-
 
 @dataclass(frozen=True)
 class CorrelationEstimate:

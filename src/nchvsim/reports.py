@@ -267,11 +267,6 @@ def scan_csv_text(rows: list[ScanRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_scan_csv(rows: list[ScanRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(scan_csv_text(rows))
-
-
 def _config_echo(config: RunConfig) -> dict:
     return {
         "experiment": config.experiment,
@@ -619,11 +614,6 @@ def json_text(payload: dict) -> str:
 
 def report_json_text(report: Report) -> str:
     return json_text(vars(report))
-
-
-def write_report_json(report: Report, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(report_json_text(report))
 
 
 def render_report_text(report: Report) -> str:

@@ -44,9 +44,9 @@ from nchvsim.reports import (
     report_json_text,
     run_exp1_report,
     run_exp2_report,
+    scan_csv_text,
     scan_phase,
     threshold_study,
-    write_scan_csv,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -243,13 +243,18 @@ def test_criterion_byte_reproducibility(tmp_path):
             sweep=(-math.pi, math.pi, 9),
         )
 
+    def write_scan(path, seed):
+        # The same open() arguments as cli.main's
+        path.write_text(scan_csv_text(scan_phase(scan_config(seed))),
+                        encoding="utf-8", newline="")
+
     first_csv = tmp_path / "scan_a.csv"
     second_csv = tmp_path / "scan_b.csv"
-    write_scan_csv(scan_phase(scan_config(42)), first_csv)
-    write_scan_csv(scan_phase(scan_config(42)), second_csv)
+    write_scan(first_csv, 42)
+    write_scan(second_csv, 42)
     assert first_csv.read_bytes() == second_csv.read_bytes()
     other_csv = tmp_path / "scan_c.csv"
-    write_scan_csv(scan_phase(scan_config(43)), other_csv)
+    write_scan(other_csv, 43)
     assert other_csv.read_bytes() != first_csv.read_bytes()
 
     def report_config(seed):

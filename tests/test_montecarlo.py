@@ -349,7 +349,8 @@ def test_sample_counts_equals_binary_search_route(
     noise = NoiseModel(visibility, efficiency, background)
     counts = sample_counts(setting, noise, trials, seed)
     histogram, detected = _binary_search_counts(setting, noise, trials, seed)
-    assert [counts.counts[o] for o in counts.outcomes()] == histogram
+    outcomes = TRIPLE_OUTCOMES if triple else PAIR_OUTCOMES
+    assert [counts.counts[o] for o in outcomes] == histogram
     assert counts.detected == detected
     assert sum(counts.counts.values()) == counts.detected
     estimator = estimate_correlation_exp1 if triple else estimate_correlation_exp2

@@ -33,8 +33,6 @@ from nchvsim.reports import (
     scan_csv_text,
     scan_phase,
     threshold_study,
-    write_report_json,
-    write_scan_csv,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -174,8 +172,9 @@ def test_scan_csv_bytes_reproduce(tmp_path):
     )
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"
-    write_scan_csv(scan_phase(config), first)
-    write_scan_csv(scan_phase(config), second)
+    # The same open() arguments as cli.main's
+    first.write_text(scan_csv_text(scan_phase(config)), encoding="utf-8", newline="")
+    second.write_text(scan_csv_text(scan_phase(config)), encoding="utf-8", newline="")
     assert first.read_bytes() == second.read_bytes()
     other = scan_phase(
         RunConfig(
@@ -259,8 +258,10 @@ def test_exp2_report_significance_consistent_with_own_numbers():
 def test_report_json_reproducible_and_well_formed(tmp_path):
     first = tmp_path / "r1.json"
     second = tmp_path / "r2.json"
-    write_report_json(run_exp1_report(exp1_config()), first)
-    write_report_json(run_exp1_report(exp1_config()), second)
+    first.write_text(report_json_text(run_exp1_report(exp1_config())),
+                     encoding="utf-8", newline="")
+    second.write_text(report_json_text(run_exp1_report(exp1_config())),
+                      encoding="utf-8", newline="")
     assert first.read_bytes() == second.read_bytes()
     payload = json.loads(first.read_text())
     assert sorted(payload.keys()) == ["config", "derived", "estimates", "verdict"]
