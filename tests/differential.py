@@ -133,6 +133,7 @@ def corpus() -> list[tuple[str, list[str], str | None]]:
         "visibility -1e-3": ["exp1", "--visibility", "-1e-3"],
         "trials -1e3": ["exp1", "--trials", "-1e3"],
         "phi-a -1e-3": ["exp1", "--phi-a", "-1e-3", "--trials", "1000"],
+        "replay -1.csv": ["replay", "-1.csv"],
         "out into a directory": ["exp2", "--trials", "100", "--out", "{tmp}"],
     }
     first = {}  # the first golden argv of each subcommand

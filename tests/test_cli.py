@@ -148,7 +148,7 @@ def test_value_starting_with_minus_may_follow_a_space(capsys, argv, flag, given,
     assert spaced[0] == 0
 
 
-def test_negative_exponent_values_reach_their_flags_checks():
+def test_tokens_that_start_like_negative_numbers_are_values():
     visibility = run_cli("exp1", "--visibility", "-1e-3")
     assert visibility.returncode == 2
     assert visibility.stderr == "error: visibility must be in [0, 1], got -0.001\n"
@@ -157,6 +157,10 @@ def test_negative_exponent_values_reach_their_flags_checks():
     assert "argument --trials: invalid int value: '-1e3'" in trials.stderr
     phase = run_cli("exp1", "--phi-a", "-1e-3", "--trials", "1000")
     assert phase.returncode == 0, phase.stderr
+    # a positional that starts like a negative number is read as given
+    path = run_cli("replay", "-1.csv")
+    assert path.returncode == 2
+    assert path.stderr == "error: [Errno 2] No such file or directory: '-1.csv'\n"
 
 
 @pytest.mark.parametrize("argv, message", [
