@@ -11,6 +11,7 @@ rendering rounds for reading.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -22,7 +23,6 @@ import numpy as np
 from .errors import FixtureParseError, SimulationError, ValidationError, _require_int, is_finite
 from .experiment import PhaseSetting, correlations
 from .montecarlo import (
-    CorrelationEstimate,
     NoiseModel,
     estimate_correlation_exp1,
     estimate_correlation_exp2,
@@ -178,13 +178,23 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ScanRow:
+    """One setting's estimate, the record that scans and reports read, in
+    canonical radians.  A replayed row has no event count ``n_detected`` and
+    no noise-model correlation ``e_analytic``: both are None."""
+
     phi_a: float
     phi_b: float
     phi_c: float | None
     e_est: float
     sigma: float
-    n_detected: int
-    e_analytic: float
+    n_detected: int | None
+    e_analytic: float | None
+
+
+def _row(setting: PhaseSetting, value: float, sigma: float,
+         n_detected: int | None = None, e_analytic: float | None = None) -> ScanRow:
+    canon = setting.canonical()
+    return ScanRow(canon.phi_a, canon.phi_b, canon.phi_c, value, sigma, n_detected, e_analytic)
 
 
 @dataclass(frozen=True)
@@ -202,20 +212,20 @@ def _setting_seeds(seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)]
 
 
-def _simulate(
-    config: RunConfig, settings: list[PhaseSetting]
-) -> list[tuple[CorrelationEstimate, float]]:
-    """Estimate and noise-model correlation of each setting, sampled from
-    the per-setting child seeds of ``config.seed``."""
+def _simulate(config: RunConfig, settings: list[PhaseSetting]) -> list[ScanRow]:
+    """One row per setting: its estimate, event count and noise-model
+    correlation, sampled from the per-setting child seeds of ``config.seed``."""
     seeds = _setting_seeds(config.seed, len(settings))
     contrast = config.noise.effective_visibility()
-    results = []
+    rows = []
     for setting, seed in zip(settings, seeds):
         counts = sample_counts(setting, config.noise, config.trials_per_setting, seed)
         estimator = (estimate_correlation_exp1 if setting.analyzers == 3
                      else estimate_correlation_exp2)
-        results.append((estimator(counts), contrast * math.sin(setting.phase_sum())))
-    return results
+        est = estimator(counts)
+        rows.append(_row(setting, est.value, est.sigma, est.n,
+                         contrast * math.sin(setting.phase_sum())))
+    return rows
 
 
 def scan_phase(config: RunConfig) -> list[ScanRow]:
@@ -231,16 +241,8 @@ def scan_phase(config: RunConfig) -> list[ScanRow]:
     start, stop, steps = config.sweep
     sweep_values = [float(x) for x in np.linspace(start, stop, steps)]
     fixed = [(b, c) for b in config.phi_b_values for c in config.phi_c_values or (None,)]
-    settings = [
-        PhaseSetting(phi_a, b, c) for (b, c) in fixed for phi_a in sweep_values
-    ]
-    rows = []
-    for setting, (est, analytic) in zip(settings, _simulate(config, settings)):
-        canon = setting.canonical()
-        rows.append(
-            ScanRow(canon.phi_a, canon.phi_b, canon.phi_c, est.value, est.sigma, est.n, analytic)
-        )
-    return rows
+    settings = [PhaseSetting(phi_a, b, c) for (b, c) in fixed for phi_a in sweep_values]
+    return _simulate(config, settings)
 
 
 def _fmt(value: float) -> str:
@@ -280,32 +282,29 @@ def _config_echo(config: RunConfig) -> dict:
     }
 
 
-def _report(config: dict, test: InequalityTest, estimates, analytic=None) -> Report:
-    """Entries, derived quantities and verdict from the estimates of the
-    report settings, in report order.  Each estimate carries its ``setting``,
-    ``value`` and ``sigma``; a simulated one also carries its event count
-    ``n``, and ``analytic`` holds the noise-model correlations of simulated
-    estimates.  ``analytic`` is None for replayed rows.
+def _report(config: dict, test: InequalityTest, rows: list[ScanRow]) -> Report:
+    """Entries, derived quantities and verdict from the rows of the report
+    settings, in report order.  A row without an event count is replayed:
+    its entry carries no ``n`` and no ``analytic``.
 
     The verdict is assessed only with a real error estimate: sigma > 0,
     and no simulated setting short of MIN_SIGN_COUNT coincidences of one
     product sign.  A replayed sigma of 0 is exact."""
     entries = []
     short = []  # analytic correlations of the short simulated settings
-    for k, estimate in enumerate(estimates):
-        canon = estimate.setting.canonical()
-        entries.append({"phi_a": canon.phi_a, "phi_b": canon.phi_b, "phi_c": canon.phi_c,
-                        "value": estimate.value, "sigma": estimate.sigma})
-        if analytic is not None:
-            entries[-1].update(n=estimate.n, analytic=analytic[k])
+    for row in rows:
+        entries.append({"phi_a": row.phi_a, "phi_b": row.phi_b, "phi_c": row.phi_c,
+                        "value": row.e_est, "sigma": row.sigma})
+        if row.n_detected is not None:
+            entries[-1].update(n=row.n_detected, analytic=row.e_analytic)
             # n(1 - |E|)/2 events carry the rarer product sign; the count is
             # an integer, so rounding only removes float error.
-            if round(estimate.n * (1.0 - abs(estimate.value)) / 2.0) < MIN_SIGN_COUNT:
-                short.append(analytic[k])
-    ordered = test.by_term(estimates)
-    value = expression_value(test.terms, [e.value for e in ordered])
+            if round(row.n_detected * (1.0 - abs(row.e_est)) / 2.0) < MIN_SIGN_COUNT:
+                short.append(row.e_analytic)
+    ordered = test.by_term(rows)
+    value = expression_value(test.terms, [r.e_est for r in ordered])
     _, sigma = propagate_error(
-        [(e.value, e.sigma) for e in ordered], [term.sign for term in test.terms]
+        [(r.e_est, r.sigma) for r in ordered], [term.sign for term in test.terms]
     )
     # No short setting means every simulated |E| < 1, so sigma > 0 there.
     assessed = not short and sigma > 0.0
@@ -317,18 +316,18 @@ def _report(config: dict, test: InequalityTest, estimates, analytic=None) -> Rep
         "quantum_maximum": test.quantum_maximum,
         "significance": significance,
     }
-    fourth = [e for term, e in zip(test.terms, ordered) if term.sign > 0]
+    fourth = [r for term, r in zip(test.terms, ordered) if term.sign > 0]
     if len(fourth) == 1:
         # The -1 terms are the perfect-correlation settings; any NCHV model
         # they constrain has a forced lower bound on the lone +1 term.
-        forcing = [e for term, e in zip(test.terms, ordered) if term.sign < 0]
+        forcing = [r for term, r in zip(test.terms, ordered) if term.sign < 0]
         bound, bound_sigma = nchv_lower_bound(
-            *(e.value for e in forcing), tuple(e.sigma for e in forcing)
+            *(r.e_est for r in forcing), tuple(r.sigma for r in forcing)
         )
         derived.update(
             nchv_lower_bound=bound,
             nchv_lower_bound_sigma=bound_sigma,
-            fourth_value=fourth[0].value,
+            fourth_value=fourth[0].e_est,
             fourth_sigma=fourth[0].sigma,
         )
     violated = abs(value) > test.bound
@@ -362,8 +361,7 @@ def _simulate_report(config: RunConfig, experiment: str) -> Report:
         raise ValidationError("phi_a and phi_a_prime must be two different beam-splitter phases")
     test = TESTS[experiment]
     settings = test.settings(config.phi_a, config.phi_a_prime)
-    estimates, analytic = zip(*_simulate(config, settings))
-    return _report(_config_echo(config), test, estimates, analytic)
+    return _report(_config_echo(config), test, _simulate(config, settings))
 
 
 def run_exp1_report(config: RunConfig) -> Report:
@@ -464,9 +462,10 @@ def _parse_phase(text: str, line_number: int, column: str) -> float:
 
 def load_replay_rows(path) -> list[ReplayRow]:
     """Parse a replay fixture.  Phases are in units of pi; phi_c is blank
-    for event-ready rows."""
+    for event-ready rows.  A leading UTF-8 byte order mark is skipped."""
     with open(path, "rb") as handle:
-        data = handle.read()
+        # Not "utf-8-sig", whose error offsets skip the BOM and would not index data.
+        data = handle.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -604,7 +603,8 @@ def replay(path) -> Report:
         )
     experiment = "exp1" if has_c[0] else "exp2"
     config = {"mode": "replay", "experiment": experiment, "source": str(path)}
-    return _report(config, TESTS[experiment], _match(TESTS[experiment], rows))
+    test = TESTS[experiment]
+    return _report(config, test, [_row(r.setting, r.value, r.sigma) for r in _match(test, rows)])
 
 
 def json_text(payload: dict) -> str:

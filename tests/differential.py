@@ -47,6 +47,8 @@ INPUTS = {
     "number_out.json": '{"out": 7}\n',
     "run.json": '{"visibility": 0.885, "trials": 4000, "seed": 17}\n',
     "float_trials.json": '{"trials": 1.5}\n',
+    # As spreadsheets' "CSV UTF-8" export writes it.
+    "bom_exp2.csv": "\ufeff" + (ROOT / "fixtures" / "exp2_reference.csv").read_text("utf-8"),
 }
 
 # Seeded library calls, run as ``python -c LIBRARY SECTION``.
@@ -100,7 +102,7 @@ def corpus() -> list[tuple[str, list[str], str | None]]:
                  ["exp1", "--trials", "3", "--seed", "2"],
                  ["exp2", "--trials", "5", "--seed", "6"]):
         cases.append((" ".join(argv), cli + argv, ".json"))
-    for stem in ("zero_sigma_exp2", "zero_sigma_exp1", "satisfied_exp2"):
+    for stem in ("zero_sigma_exp2", "zero_sigma_exp1", "satisfied_exp2", "bom_exp2"):
         cases.append((f"replay {stem}", cli + ["replay", f"{{tmp}}/{stem}.csv"], ".json"))
     scan1 = ["scan", "--experiment", "exp1", "--trials", "10", "--seed", "1"]
     scan2 = ["scan", "--experiment", "exp2", "--trials", "10", "--seed", "1"]

@@ -1,3 +1,4 @@
+import codecs
 import itertools
 import json
 import math
@@ -711,6 +712,25 @@ def test_replay_rejects_non_utf8_bytes_with_line_number(tmp_path):
     assert "UTF-8" in str(excinfo.value)
 
 
+def test_replay_skips_a_leading_byte_order_mark(tmp_path):
+    """Spreadsheets' "CSV UTF-8" export starts the file with a BOM."""
+    path = tmp_path / "values.csv"
+    path.write_bytes(codecs.BOM_UTF8 + (FIXTURES / "exp2_reference.csv").read_bytes())
+    report, reference = replay(path), replay(FIXTURES / "exp2_reference.csv")
+    assert report.derived == reference.derived
+    assert report.verdict == reference.verdict
+
+
+def test_replay_line_numbers_count_from_the_line_after_a_byte_order_mark(tmp_path):
+    path = tmp_path / "values.csv"
+    path.write_bytes(codecs.BOM_UTF8 + b"phi_a,phi_b,phi_c,E,sigma\n"
+                     b"0.46,0,0,0.885,0.005\n0.01,\xff,0,0.9,0.1\n")
+    with pytest.raises(FixtureParseError) as excinfo:
+        replay(path)
+    assert excinfo.value.line_number == 3
+    assert "UTF-8" in str(excinfo.value)
+
+
 def test_replay_accepts_sigma_of_one(tmp_path):
     rows = _with_field(_FIXTURE_ROWS["exp2"], 0, 4, "1")
     path = tmp_path / "values.csv"
@@ -819,3 +839,46 @@ def test_simulated_significance_needs_five_events_of_each_sign(
         )
     else:
         assert "standard deviations" in summary or not report.verdict["violated"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    experiment=st.sampled_from(["exp1", "exp2"]),
+    visibility=st.floats(0.0, 1.0),
+    efficiency=st.floats(0.2, 1.0),
+    background=st.just(0.0) | st.floats(0.0, 0.5),
+    trials=st.integers(200, 5000),
+    seed=st.integers(0, 2**31),
+)
+def test_replayed_entries_of_a_simulated_report_give_its_derived_values(
+    tmp_path_factory, experiment, visibility, efficiency, background, trials, seed
+):
+    """Simulated and replayed reports share one path to the derived values:
+    a report's entries, written as a replay file, replay to the same floats."""
+    config = RunConfig(
+        experiment=experiment,
+        noise=NoiseModel(visibility=visibility, efficiency=efficiency, background=background),
+        trials_per_setting=trials,
+        seed=seed,
+        phi_a=HALF_PI if experiment == "exp1" else math.pi / 4.0,
+        phi_a_prime=0.0 if experiment == "exp1" else -math.pi / 4.0,
+    )
+    simulated = (run_exp1_report if experiment == "exp1" else run_exp2_report)(config)
+    lines = ["phi_a,phi_b,phi_c,E,sigma"]
+    for entry in simulated.estimates:
+        phases = [entry["phi_a"], entry["phi_b"], entry["phi_c"]]
+        lines.append(",".join(["" if phi is None else repr(phi / math.pi) for phi in phases]
+                              + [repr(entry["value"]), repr(entry["sigma"])]))
+    path = tmp_path_factory.mktemp("replay") / "values.csv"
+    path.write_text("\n".join(lines) + "\n")
+    replayed = replay(path)
+    keys = ["inequality_value", "inequality_sigma"]
+    if experiment == "exp1":
+        keys += ["nchv_lower_bound", "nchv_lower_bound_sigma", "fourth_value", "fourth_sigma"]
+    for key in keys:
+        assert type(replayed.derived[key]) is float
+        assert replayed.derived[key] == simulated.derived[key], key
+    assert all("n" in e and "analytic" in e for e in simulated.estimates)
+    assert not any("n" in e or "analytic" in e for e in replayed.estimates)
+    if simulated.derived["significance"] is not None:
+        assert replayed.derived["significance"] == simulated.derived["significance"]
