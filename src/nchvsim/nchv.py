@@ -10,13 +10,14 @@ single one, so the deterministic bounds hold for every NCHV model.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationLimitError, ValidationError, is_finite
+from .errors import EnumerationLimitError, ValidationError, _require_int, is_finite
 
 # Largest total number of binary assignment choices classical_bound will
 # enumerate.  2**24 deterministic models is the supported ceiling.
@@ -123,6 +124,11 @@ class ExpressionTerm:
     c_index: int | None = None
 
     def __post_init__(self):
+        _require_int("sign", self.sign)
+        _require_int("a_index", self.a_index)
+        _require_int("b_index", self.b_index)
+        if self.c_index is not None:
+            _require_int("c_index", self.c_index)
         if self.sign not in (-1, +1):
             raise ValidationError(f"term sign must be +1 or -1, got {self.sign!r}")
 
@@ -153,11 +159,15 @@ def mermin_expression() -> tuple[ExpressionTerm, ...]:
     return _MERMIN
 
 
-def _sign_matrix(n: int) -> np.ndarray:
-    """All 2**n sign rows as int8; bit j of the row index sets column j to -1."""
-    rows = np.arange(2**n, dtype="<u4").view(np.uint8).reshape(2**n, 4)
-    bits = np.unpackbits(rows, axis=1, count=n, bitorder="little")
-    return 1 - 2 * bits.view(np.int8)
+@functools.cache
+def _sign_table(n: int) -> np.ndarray:
+    """All 2**n sign rows behind a leading +1 column, as read-only int64:
+    bit j of the row index sets column 1 + j to -1.  classical_bound asks
+    only for n <= MAX_ENUMERATION_BITS // 2, so the cache stays under 1 MB."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    table = np.hstack([np.ones((2**n, 1), dtype=np.int64), 1 - 2 * bits])
+    table.flags.writeable = False
+    return table
 
 
 def classical_bound(
@@ -186,41 +196,29 @@ def classical_bound(
         if term.c_index is not None:
             _check_index("c", term.c_index, nc)
 
-    # Number each block's read phases in first-use order.
+    # Number each block's read phases 1, 2, ... in first-use order; 0 stands
+    # for a term that reads none of the block.
     reads = [(term.a_index, term.b_index, term.c_index) for term in expression]
     used: list[dict[int, int]] = [{}, {}, {}]
     for indices in reads:
         for block, index in zip(used, indices):
             if index is not None:
-                block.setdefault(index, len(block))
+                block.setdefault(index, 1 + len(block))
     # Optimize the block with the most read phases; enumerate the other two.
     free = max(range(3), key=lambda k: len(used[k]))
-    enum1, enum2 = (k for k in range(3) if k != free)
-    offset2 = len(used[enum1])
-    signs = _sign_matrix(offset2 + len(used[enum2]))
-    # Column 0 sums the terms that do not read the free block; column 1 + k
-    # sums those that read its k-th read phase.
-    acc = np.zeros((signs.shape[0], 1 + len(used[free])), dtype=np.int64)
+    order = (free, *(k for k in range(3) if k != free))
+    # weights[f, i, j] sums the signs of the terms that read phase f of the
+    # free block and phases i and j of the enumerated ones.
+    weights = np.zeros([1 + len(used[k]) for k in order], dtype=np.int64)
     for term, indices in zip(expression, reads):
-        columns = [signs[:, offset + used[block][indices[block]]]
-                   for block, offset in ((enum1, 0), (enum2, offset2))
-                   if indices[block] is not None]
-        if len(columns) == 2:
-            product = columns[0] * columns[1]
-        else:
-            product = columns[0] if columns else 1
-        k = indices[free]
-        column = acc[:, 0 if k is None else 1 + used[free][k]]
-        if term.sign > 0:
-            column += product
-        else:
-            column -= product
-    # Free the signs (the last term's columns are views of them) and take
-    # |.| in place rather than in a copy of acc, so an expression that reads
-    # every phase peaks near acc's own size.
-    del signs, columns, product
-    np.abs(acc[:, 1:], out=acc[:, 1:])
-    return float(acc.sum(axis=1).max())
+        weights[tuple(used[k].get(indices[k], 0) for k in order)] += term.sign
+    _, enum1, enum2 = order
+    # acc[f, x, y] is what the terms reading free phase f (none for f = 0)
+    # add up to under assignment x of the first enumerated block and y of the
+    # second; each free phase then takes the sign that makes its sum positive.
+    acc = _sign_table(len(used[enum1])) @ weights @ _sign_table(len(used[enum2])).T
+    np.abs(acc[1:], out=acc[1:])
+    return float(acc.sum(axis=0).max())
 
 
 def expression_value(

@@ -55,10 +55,11 @@ INPUTS = {
 LIBRARY = r"""
 import random, sys
 from nchvsim import (
-    PAIR_OUTCOMES, TRIPLE_OUTCOMES, EstimationError, NoiseModel, PhaseSetting,
-    correlation_qm2, correlation_qm3, estimate_correlation_exp1, estimate_correlation_exp2,
-    noisy_probability, sample_counts,
+    PAIR_OUTCOMES, TRIPLE_OUTCOMES, EstimationError, NoiseModel, PhaseGrid, PhaseSetting,
+    classical_bound, correlation_qm2, correlation_qm3, estimate_correlation_exp1,
+    estimate_correlation_exp2, noisy_probability, sample_counts,
 )
+from nchvsim.nchv import ExpressionTerm
 
 rng = random.Random(16)
 section = sys.argv[1]
@@ -69,7 +70,19 @@ def setting(k):
 def noise():
     return NoiseModel(rng.uniform(0.0, 1.0), rng.uniform(0.01, 1.0), rng.uniform(0.0, 0.99))
 
-for i in range(400):
+def bound():
+    # 1-64 terms, two- and three-analyzer mixed, on a grid of at most 24 bits.
+    na, nb = rng.randint(1, 12), rng.randint(1, 12)
+    sizes = (na, nb, rng.randint(0, min(8, 24 - na - nb)))
+    terms = [ExpressionTerm(rng.choice((1, -1)), rng.randrange(sizes[0]), rng.randrange(sizes[1]),
+                            rng.randrange(sizes[2]) if sizes[2] and rng.random() < 0.6 else None)
+             for _ in range(rng.randint(1, 64))]
+    return classical_bound(terms, PhaseGrid(*(tuple(map(float, range(n))) for n in sizes)))
+
+for i in range(200 if section == "bounds" else 400):
+    if section == "bounds":
+        print(bound().hex())
+        continue
     k = 2 + i % 2
     s = setting(k)
     if section == "noisy_probability":
@@ -145,7 +158,7 @@ def corpus() -> list[tuple[str, list[str], str | None]]:
         errors[f"{command} unwritable --out"] = [*first[command], "--out", "{tmp}/missing/x"]
     cases += [(name, cli + argv, None) for name, argv in errors.items()]
     cases += [(f"library {section}", ["-c", LIBRARY, section], None)
-              for section in ("noisy_probability", "correlations", "estimates")]
+              for section in ("noisy_probability", "correlations", "estimates", "bounds")]
     return cases
 
 

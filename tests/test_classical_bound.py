@@ -34,20 +34,21 @@ def brute_force(terms, sizes):
 
 
 @st.composite
-def expressions_on_grids(draw, max_bits=14):
-    """1-6 terms with random signs, mixing two- and three-analyzer terms,
-    on the smallest grid holding their indices (``read``) and on that grid
-    widened by at least one phase no term reads (``grid``)."""
-    n_terms = draw(st.integers(1, 6))
+def expressions_on_grids(draw, max_bits=14, n_terms=st.integers(1, 6), max_index=3):
+    """``n_terms`` terms with random signs and indices up to ``max_index``,
+    mixing two- and three-analyzer terms, on the smallest grid holding their
+    indices (``read``) and on that grid widened by at least one phase no term
+    reads (``grid``).  ``max_bits`` must exceed ``3 * (max_index + 1)``."""
     three = st.booleans()
+    index = st.integers(0, max_index)
     terms = tuple(
         ExpressionTerm(
             draw(st.sampled_from((+1, -1))),
-            draw(st.integers(0, 3)),
-            draw(st.integers(0, 3)),
-            draw(st.integers(0, 3)) if draw(three) else None,
+            draw(index),
+            draw(index),
+            draw(index) if draw(three) else None,
         )
-        for _ in range(n_terms)
+        for _ in range(draw(n_terms))
     )
     read = (
         1 + max(t.a_index for t in terms),
@@ -67,6 +68,31 @@ def expressions_on_grids(draw, max_bits=14):
 @given(expressions_on_grids())
 def test_classical_bound_equals_brute_force(case):
     terms, _, sizes = case
+    assert classical_bound(terms, grid_of(sizes)) == brute_force(terms, sizes)
+
+
+@st.composite
+def many_terms_on_grids(draw):
+    """7-40 terms on grids of at most 10 bits: each term is drawn afresh, a
+    repeat of an earlier one or its negation, so cells of the weight table
+    add up and cancel."""
+    terms, _, sizes = draw(
+        expressions_on_grids(max_bits=10, n_terms=st.integers(7, 40), max_index=2)
+    )
+    terms = list(terms)
+    for k in range(1, len(terms)):
+        earlier = terms[draw(st.integers(0, k - 1))]
+        sign = draw(st.sampled_from((None, +1, -1)))
+        if sign is not None:
+            terms[k] = ExpressionTerm(sign * earlier.sign, earlier.a_index,
+                                      earlier.b_index, earlier.c_index)
+    return tuple(terms), sizes
+
+
+@settings(max_examples=100, deadline=None)
+@given(many_terms_on_grids())
+def test_many_repeated_and_cancelling_terms_equal_brute_force(case):
+    terms, sizes = case
     assert classical_bound(terms, grid_of(sizes)) == brute_force(terms, sizes)
 
 
@@ -119,4 +145,15 @@ def test_bound_reading_every_phase_of_8x8x8_stays_within_6_mb():
         for b in range(8)
     )
     assert {t.c_index for t in terms} == set(range(8))
+    assert peak_bytes(terms, (8, 8, 8)) <= 6 * MB
+
+
+def test_bound_with_512_terms_on_8x8x8_is_pinned_and_stays_within_6_mb():
+    terms = tuple(
+        ExpressionTerm(+1 if (a + 2 * b + 3 * c) % 5 < 2 else -1, a, b, c)
+        for a in range(8)
+        for b in range(8)
+        for c in range(8)
+    )
+    assert classical_bound(terms, grid_of((8, 8, 8))) == 230.0
     assert peak_bytes(terms, (8, 8, 8)) <= 6 * MB

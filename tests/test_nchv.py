@@ -140,6 +140,17 @@ def test_classical_bound_validates_indices():
         classical_bound((), GRID3)
 
 
+@pytest.mark.parametrize("fields", [
+    (0.5, 0, 0), (True, 0, 0), (1.0, 0, 0),
+    (1, 0.5, 0), (1, 0, "0"), (1, 0, 0, False), (1, 0, 0, 1.0),
+])
+def test_expression_term_takes_only_int_signs_and_indices(fields):
+    # An index of 0.5 passes classical_bound's range check and would be
+    # enumerated as one more phase that the grid does not have.
+    with pytest.raises(ValidationError, match="must be an integer"):
+        ExpressionTerm(*fields)
+
+
 @st.composite
 def mixtures(draw):
     """An expression, a grid it reads, and a convex mixture of deterministic
