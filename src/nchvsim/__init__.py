@@ -32,9 +32,11 @@ from .montecarlo import (
     sample_counts,
 )
 from .nchv import (
+    ExpressionTerm,
     PhaseGrid,
     chsh_expression,
     classical_bound,
+    expression_value,
     ghz_forcing,
     mermin_expression,
     nchv_lower_bound,

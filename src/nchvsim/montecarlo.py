@@ -23,15 +23,10 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import EstimationError, ValidationError, _require_int, is_finite
-from .experiment import (
-    OUTCOMES,
-    Outcome,
-    PhaseSetting,
-    joint_probability_closed_form,
-    joint_probability_eventready_closed_form,
-)
+from .experiment import OUTCOMES, Outcome, PhaseSetting
 
-_OUTCOME_SETS = {k: frozenset(outcomes) for k, outcomes in OUTCOMES.items()}
+# The outcome product A*B(*C) of each channel, in OUTCOMES order.
+_PRODUCTS = {k: tuple(o.product() for o in outcomes) for k, outcomes in OUTCOMES.items()}
 
 
 @dataclass(frozen=True)
@@ -57,35 +52,33 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class CoincidenceCounts:
-    """Observed outcome histogram at one setting."""
+    """Observed outcome histogram at one setting: ``counts[i]`` events of
+    outcome ``OUTCOMES[setting.analyzers][i]``."""
 
     setting: PhaseSetting
-    counts: dict[Outcome, int]
+    counts: tuple[int, ...]
     trials: int
-    detected: int
 
     def __post_init__(self):
         _require_int("trials", self.trials)
-        _require_int("detected", self.detected)
         if self.trials <= 0:
             raise ValidationError(f"trials must be positive, got {self.trials!r}")
-        if not self.counts.keys() <= _OUTCOME_SETS[self.setting.analyzers]:
+        n_outcomes = len(_PRODUCTS[self.setting.analyzers])
+        if not isinstance(self.counts, tuple) or len(self.counts) != n_outcomes:
             raise ValidationError(
-                f"counts at a setting of {self.setting.analyzers} analyzers must be keyed "
-                f"by its outcomes, got {list(self.counts)!r}"
+                f"counts at a setting of {self.setting.analyzers} analyzers must be a tuple "
+                f"of {n_outcomes} counts in outcome order, got {self.counts!r}"
             )
-        for outcome, n in self.counts.items():
+        for n in self.counts:
             if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-                raise ValidationError(
-                    f"the count of outcome {outcome!r} must be a non-negative integer, got {n!r}"
-                )
-        total = sum(self.counts.values())
-        if total != self.detected:
-            raise ValidationError(
-                f"counts sum to {total} but detected is {self.detected}"
-            )
+                raise ValidationError(f"counts must be non-negative integers, got {n!r}")
         if self.detected > self.trials:
             raise ValidationError("detected events cannot exceed trials")
+
+    @property
+    def detected(self) -> int:
+        """Number of detected events, ``sum(counts)``."""
+        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -117,18 +110,26 @@ def counting_sigma(value: float, n: int) -> float:
     return math.sqrt((1.0 - value * value) / n)
 
 
-def noisy_probability(outcome: Outcome, setting: PhaseSetting, noise: NoiseModel) -> float:
-    """Outcome probability with visibility damping and background mixing.
+def noisy_probabilities(setting: PhaseSetting, noise: NoiseModel) -> tuple[float, ...]:
+    """Outcome probabilities in OUTCOMES order: the ideal sinusoid
+    ``(1 + A*B(*C) * sin(phase sum))/k`` over k outcomes, contracted toward the
+    uniform distribution twice, ``(1 - bg) * (v * p_ideal + (1 - v)/k) + bg/k``."""
+    products = _PRODUCTS[setting.analyzers]
+    k = len(products)
+    s = math.sin(setting.phase_sum())
+    v, bg = noise.visibility, noise.background
+    return tuple((1.0 - bg) * (v * ((1.0 + p * s) / k) + (1.0 - v) / k) + bg / k
+                 for p in products)
 
-    The ideal sinusoid is contracted toward the uniform distribution twice:
-    ``p = (1 - bg) * (v * p_ideal + (1 - v)/k) + bg/k`` with k outcomes."""
-    k = len(OUTCOMES[setting.analyzers])
-    closed_form = (joint_probability_closed_form if k == 8
-                   else joint_probability_eventready_closed_form)
-    ideal = closed_form(outcome, setting)
-    v = noise.visibility
-    p = v * ideal + (1.0 - v) / k
-    return (1.0 - noise.background) * p + noise.background / k
+
+def noisy_probability(outcome: Outcome, setting: PhaseSetting, noise: NoiseModel) -> float:
+    """The entry of ``noisy_probabilities`` for one outcome."""
+    outcomes = OUTCOMES[setting.analyzers]
+    if outcome not in outcomes:
+        raise ValidationError(
+            f"this operation needs an outcome of {setting.analyzers} analyzers, got {outcome!r}"
+        )
+    return noisy_probabilities(setting, noise)[outcomes.index(outcome)]
 
 
 def sample_counts(
@@ -144,31 +145,25 @@ def sample_counts(
     _require_int("trials", trials)
     if trials <= 0:
         raise ValidationError(f"trials must be positive, got {trials!r}")
-    outcomes = OUTCOMES[setting.analyzers]
     # Cumulative sums of non-negative probabilities, added in np.cumsum's
     # order.  Every draw is below 1, so the top edge is never needed.
-    edges = list(accumulate(noisy_probability(o, setting, noise) for o in outcomes))
+    edges = list(accumulate(noisy_probabilities(setting, noise)))
     rng = np.random.default_rng(seed)
     detected = int(rng.binomial(trials, noise.efficiency))
     draws = rng.random(detected)
     below = [0] + [int(np.count_nonzero(draws < edge)) for edge in edges[:-1]] + [detected]
-    counts = {o: hi - lo for o, lo, hi in zip(outcomes, below, below[1:])}
-    return CoincidenceCounts(setting, counts, trials, detected)
+    counts = tuple(hi - lo for lo, hi in zip(below, below[1:]))
+    return CoincidenceCounts(setting, counts, trials)
 
 
-def _mean_product(counts: CoincidenceCounts, a_values: tuple, empty: str) -> CorrelationEstimate:
-    """Mean of the outcome product over the channels whose A is in
-    ``a_values``; raises EstimationError(``empty``) if they hold no event."""
-    used = 0
-    weighted = 0
-    for outcome, n in counts.counts.items():
-        if outcome.a in a_values:
-            used += n
-            weighted += outcome.product() * n
+def _mean_product(setting: PhaseSetting, channels: tuple, empty: str) -> CorrelationEstimate:
+    """Mean of the outcome product over ``channels``, leading counts in outcome
+    order; raises EstimationError(``empty``) if they hold no event."""
+    used = sum(channels)
     if used == 0:
         raise EstimationError(empty)
-    value = weighted / used
-    return CorrelationEstimate(value, counting_sigma(value, used), used, counts.setting)
+    value = sum(p * n for p, n in zip(_PRODUCTS[setting.analyzers], channels)) / used
+    return CorrelationEstimate(value, counting_sigma(value, used), used, setting)
 
 
 def estimate_correlation_exp1(counts: CoincidenceCounts) -> CorrelationEstimate:
@@ -176,17 +171,19 @@ def estimate_correlation_exp1(counts: CoincidenceCounts) -> CorrelationEstimate:
 
     The lower beam-splitter exit is unmonitored, so the estimate doubles the
     A=+1 relative frequencies under the A-marginal symmetry; algebraically
-    that is the mean of B*C over the A=+1 subsample."""
+    that is the mean of B*C over the A=+1 subsample, the first half of the
+    outcome order."""
     if counts.setting.analyzers != 3:
         raise ValidationError("exp1 estimator needs triple-coincidence counts")
-    return _mean_product(counts, (+1,), "no A=+1 coincidences recorded; cannot estimate")
+    return _mean_product(counts.setting, counts.counts[:4],
+                         "no A=+1 coincidences recorded; cannot estimate")
 
 
 def estimate_correlation_exp2(counts: CoincidenceCounts) -> CorrelationEstimate:
     """Conditioned pair correlation using all four outcome channels."""
     if counts.setting.analyzers != 2:
         raise ValidationError("exp2 estimator needs pair-coincidence counts")
-    return _mean_product(counts, (+1, -1), "no coincidences recorded; cannot estimate")
+    return _mean_product(counts.setting, counts.counts, "no coincidences recorded; cannot estimate")
 
 
 def propagate_error(

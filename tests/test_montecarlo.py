@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from nchvsim.errors import EstimationError, ValidationError
 from nchvsim.experiment import (
+    OUTCOMES,
     PAIR_OUTCOMES,
     TRIPLE_OUTCOMES,
     Outcome,
     PhaseSetting,
     joint_probability_closed_form,
+    joint_probability_eventready_closed_form,
 )
 from nchvsim.montecarlo import (
     CoincidenceCounts,
@@ -21,6 +23,7 @@ from nchvsim.montecarlo import (
     counting_sigma,
     estimate_correlation_exp1,
     estimate_correlation_exp2,
+    noisy_probabilities,
     noisy_probability,
     propagate_error,
     sample_counts,
@@ -30,8 +33,11 @@ HALF_PI = math.pi / 2.0
 
 
 def make_counts(setting, mapping, trials=None):
-    detected = sum(mapping.values())
-    return CoincidenceCounts(setting, mapping, trials or detected, detected)
+    """Counts from an {outcome: n} mapping, in the outcome order of the
+    configuration the mapping's outcomes belong to."""
+    outcomes = PAIR_OUTCOMES if next(iter(mapping)).c is None else TRIPLE_OUTCOMES
+    counts = tuple(mapping.get(o, 0) for o in outcomes)
+    return CoincidenceCounts(setting, counts, trials or sum(counts))
 
 
 def test_noise_model_validation():
@@ -91,7 +97,7 @@ def test_sample_counts_bright_fringe_exhausts_probability():
     setting = PhaseSetting(HALF_PI, 0.0, 0.0)
     counts = sample_counts(setting, NoiseModel(), trials=100000, seed=2)
     assert counts.detected == 100000
-    dark = sum(n for o, n in counts.counts.items() if o.product() == -1)
+    dark = sum(n for o, n in zip(TRIPLE_OUTCOMES, counts.counts) if o.product() == -1)
     assert dark == 0
 
 
@@ -110,7 +116,6 @@ def test_sample_counts_efficiency_thinning():
     setting = PhaseSetting(0.3, 0.1, -0.4)
     counts = sample_counts(setting, NoiseModel(efficiency=0.08), trials=1_000_000, seed=5)
     assert counts.detected <= counts.trials
-    assert sum(counts.counts.values()) == counts.detected
     # binomial mean 80000, sd ~271; allow 3 sigma
     assert abs(counts.detected - 80000) <= 814
 
@@ -122,29 +127,39 @@ def test_sample_counts_validation():
 
 
 def test_counts_consistency_validation():
-    setting = PhaseSetting(0.0, 0.0, 0.0)
-    with pytest.raises(ValidationError):
-        CoincidenceCounts(setting, {Outcome(+1, +1, +1): 3}, trials=10, detected=2)
-    with pytest.raises(ValidationError):
-        CoincidenceCounts(setting, {Outcome(+1, +1, +1): 3}, trials=2, detected=3)
+    assert make_counts(PhaseSetting(0.0, 0.0, 0.0), {Outcome(+1, +1, -1): 3}).detected == 3
+    with pytest.raises(ValidationError, match="cannot exceed trials"):
+        CoincidenceCounts(PhaseSetting(0.0, 0.0, 0.0), (3, 0, 0, 0, 0, 0, 0, 0), trials=2)
+    with pytest.raises(ValidationError, match="trials must be positive"):
+        CoincidenceCounts(PhaseSetting(0.0, 0.0), (0, 0, 0, 0), 0)
 
 
+# The ids are the ones these cases had while the constructor also took a
+# ``detected`` argument.
 @pytest.mark.parametrize(
-    "counts, trials, detected",
+    "counts, trials",
     [
-        ({Outcome(1, 1): 2.5, Outcome(-1, 1): 0.5}, 3, 3.0),  # fractional counts
-        ({Outcome(1, 1): 2, Outcome(-1, 1): 1}, 3, 3.0),  # float detected
-        ({Outcome(1, 1): 2, Outcome(-1, 1): 1}, 2.5, 3),  # fractional trials
-        ({Outcome(1, 1): 2, Outcome(-1, 1): 1}, 3.0, 3),  # float trials
-        ({Outcome(1, 1): 1}, True, 1),  # bools are not counts
-        ({Outcome(1, 1): 1}, 1, True),
-        ({Outcome(1, 1): True}, 1, 1),
-        ({Outcome(1, 1): 2, Outcome(-1, 1): -1}, 1, 1),  # a negative count
+        pytest.param((2.5, 0, 0.5, 0), 3, id="counts0-3-3.0"),  # fractional counts
+        pytest.param((2, 0, 1, 0), 2.5, id="counts2-2.5-3"),  # fractional trials
+        pytest.param((2, 0, 1, 0), 3.0, id="counts3-3.0-3"),  # float trials
+        pytest.param((1, 0, 0, 0), True, id="counts4-True-1"),  # bools are not counts
+        pytest.param((True, 0, 0, 0), 1, id="counts6-1-1"),
+        pytest.param((2, 0, -1, 0), 1, id="counts7-1-1"),  # a negative count
     ],
 )
-def test_counts_must_be_integers(counts, trials, detected):
+def test_counts_must_be_integers(counts, trials):
     with pytest.raises(ValidationError, match="integer"):
-        CoincidenceCounts(PhaseSetting(0.0, 0.0), counts, trials, detected)
+        CoincidenceCounts(PhaseSetting(0.0, 0.0), counts, trials)
+
+
+@pytest.mark.parametrize("setting, counts", [
+    pytest.param(PhaseSetting(0.0, 0.0, 0.0), (1, 0, 0, 0), id="4-tuple-at-a-triple-setting"),
+    pytest.param(PhaseSetting(0.0, 0.0), (1, 0, 0, 0, 0, 0, 0, 0), id="8-tuple-at-a-pair-setting"),
+    pytest.param(PhaseSetting(0.0, 0.0), [1, 0, 0, 0], id="list"),
+])
+def test_counts_must_be_a_tuple_with_one_entry_per_outcome(setting, counts):
+    with pytest.raises(ValidationError, match="must be a tuple of"):
+        CoincidenceCounts(setting, counts, 10)
 
 
 @pytest.mark.parametrize("setting, outcome", [
@@ -154,7 +169,7 @@ def test_counts_must_be_integers(counts, trials, detected):
 def test_counts_of_the_other_configuration_are_rejected(setting, outcome):
     # the exp1 estimator used to end in a TypeError on the first, and the
     # exp2 estimator to return +1 for an outcome whose product is -1
-    with pytest.raises(ValidationError, match="keyed by its outcomes"):
+    with pytest.raises(ValidationError, match="must be a tuple of"):
         make_counts(setting, {outcome: 5})
 
 
@@ -277,6 +292,8 @@ def test_propagate_error_validation():
         propagate_error([], [])
     with pytest.raises(ValidationError):
         propagate_error([(0.5, 0.01)], [2])
+    with pytest.raises(ValidationError, match="signs must be"):
+        propagate_error([(0.5, 0.1)], [0])
     with pytest.raises(ValidationError):
         propagate_error([(0.5, -0.01)], [1])
 
@@ -312,11 +329,21 @@ def test_counting_sigma_formula():
     )
 
 
+def _closed_form_noisy_probability(outcome, setting, noise):
+    """Reference noisy probability: the per-outcome closed form, damped by
+    the visibility and mixed with the background, one outcome at a time."""
+    k = len(OUTCOMES[setting.analyzers])
+    closed_form = (joint_probability_closed_form if k == 8
+                   else joint_probability_eventready_closed_form)
+    p = noise.visibility * closed_form(outcome, setting) + (1.0 - noise.visibility) / k
+    return (1.0 - noise.background) * p + noise.background / k
+
+
 def _binary_search_counts(setting, noise, trials, seed):
     """Reference sampler: one searchsorted index per draw, then a bincount
     over the outcome order, on the same random stream."""
     outcomes = TRIPLE_OUTCOMES if setting.phi_c is not None else PAIR_OUTCOMES
-    edges = np.cumsum([noisy_probability(o, setting, noise) for o in outcomes])
+    edges = np.cumsum([_closed_form_noisy_probability(o, setting, noise) for o in outcomes])
     edges[-1] = 1.0
     rng = np.random.default_rng(seed)
     detected = int(rng.binomial(trials, noise.efficiency))
@@ -330,6 +357,66 @@ _PHASES = st.one_of(
     st.floats(-4.0 * math.pi, 4.0 * math.pi),
 )
 _UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# NoiseModel refuses a background of 1, so the top edge is the float below it.
+_BACKGROUND = st.one_of(st.sampled_from([0.0, math.nextafter(1.0, 0.0)]),
+                        st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(phases=st.tuples(_PHASES, _PHASES, _PHASES), triple=st.booleans(),
+       visibility=_UNIT, background=_BACKGROUND)
+def test_noisy_probabilities_equal_the_closed_form_route_bit_for_bit(
+    phases, triple, visibility, background
+):
+    setting = PhaseSetting(*phases) if triple else PhaseSetting(*phases[:2])
+    noise = NoiseModel(visibility=visibility, background=background)
+    probabilities = noisy_probabilities(setting, noise)
+    outcomes = OUTCOMES[setting.analyzers]
+    assert len(probabilities) == len(outcomes)
+    for outcome, p in zip(outcomes, probabilities):
+        assert p == _closed_form_noisy_probability(outcome, setting, noise)
+        assert noisy_probability(outcome, setting, noise) == p
+
+
+@pytest.mark.parametrize("outcome, setting", [
+    (Outcome(+1, +1), PhaseSetting(0.0, 0.0, 0.0)),
+    (Outcome(+1, +1, +1), PhaseSetting(0.0, 0.0)),
+])
+def test_noisy_probability_rejects_an_outcome_of_the_other_configuration(outcome, setting):
+    with pytest.raises(ValidationError, match="outcome of"):
+        noisy_probability(outcome, setting, NoiseModel(visibility=0.9))
+
+
+def _reference_estimate(counts, a_values):
+    """Reference estimator: the mean of the outcome product over the
+    channels whose A is in ``a_values``, one outcome at a time."""
+    used = weighted = 0
+    for outcome, n in zip(OUTCOMES[counts.setting.analyzers], counts.counts):
+        if outcome.a in a_values:
+            used += n
+            weighted += outcome.product() * n
+    if used == 0:
+        return None
+    return (weighted / used).hex(), counting_sigma(weighted / used, used).hex(), used
+
+
+_COUNT = st.one_of(st.just(0), st.integers(0, 5), st.integers(0, 10**12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(triple=st.booleans(), counts=st.tuples(*[_COUNT] * 8))
+def test_estimators_equal_the_outcome_loop_bit_for_bit(triple, counts):
+    setting = PhaseSetting(0.1, 0.2, 0.3) if triple else PhaseSetting(0.1, 0.2)
+    counts = CoincidenceCounts(setting, counts if triple else counts[:4], 10**13)
+    estimator, a_values = ((estimate_correlation_exp1, (+1,)) if triple
+                           else (estimate_correlation_exp2, (+1, -1)))
+    expected = _reference_estimate(counts, a_values)
+    if expected is None:
+        with pytest.raises(EstimationError):
+            estimator(counts)
+        return
+    estimate = estimator(counts)
+    assert (estimate.value.hex(), estimate.sigma.hex(), estimate.n) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -349,10 +436,8 @@ def test_sample_counts_equals_binary_search_route(
     noise = NoiseModel(visibility, efficiency, background)
     counts = sample_counts(setting, noise, trials, seed)
     histogram, detected = _binary_search_counts(setting, noise, trials, seed)
-    outcomes = TRIPLE_OUTCOMES if triple else PAIR_OUTCOMES
-    assert [counts.counts[o] for o in outcomes] == histogram
+    assert list(counts.counts) == histogram
     assert counts.detected == detected
-    assert sum(counts.counts.values()) == counts.detected
     estimator = estimate_correlation_exp1 if triple else estimate_correlation_exp2
     try:
         estimate = estimator(counts)

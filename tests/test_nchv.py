@@ -138,6 +138,9 @@ def test_classical_bound_validates_indices():
         classical_bound((ExpressionTerm(+1, 0, 0, 5),), GRID3)
     with pytest.raises(ValidationError):
         classical_bound((), GRID3)
+    # an index equal to the grid size names a phase the grid does not have
+    with pytest.raises(ValidationError, match="a index 2 out of range"):
+        classical_bound((ExpressionTerm(1, 2, 0),), PhaseGrid((0.0, 1.0), (0.0, 1.0)))
 
 
 @pytest.mark.parametrize("fields", [
@@ -200,6 +203,13 @@ def test_chsh_value_recovers_published_sum():
     chsh = chsh_expression()
     assert expression_value(chsh, (0.586, 0.705, 0.714, -0.590)) == pytest.approx(2.595, abs=1e-12)
     assert expression_value(chsh, (1.0, 1.0, 1.0, -1.0)) == 4.0
+
+
+def test_package_exports_expression_term_and_expression_value():
+    from nchvsim import ExpressionTerm as exported_term, expression_value as exported_value
+
+    assert exported_term is ExpressionTerm
+    assert exported_value(chsh_expression(), (0.5, 0.5, 0.5, -0.5)) == 2.0
 
 
 def test_chsh_value_accepts_unit_range_but_not_more():

@@ -485,6 +485,7 @@ def test_replay_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(FixtureParseError) as excinfo:
         replay(mixed)
     assert excinfo.value.line_number == 3
+    assert "rows mix three-analyzer and event-ready settings" in str(excinfo.value)
 
     duplicate = tmp_path / "duplicate.csv"
     duplicate.write_text(
@@ -673,6 +674,8 @@ def test_replay_rejects_correlations_outside_unit_interval(tmp_path, text):
                      "duplicate setting phi_b=0.5, phi_c=0.0", id="exp1-extra-row"),
         pytest.param("exp2", 1, 1, "1", "must be 0 or 0.5 (units of pi); got phi_b=1.0",
                      id="exp2-off-grid-phi_b"),
+        pytest.param("exp2", 1, 1, "0.5000001", "must be 0 or 0.5 (units of pi); got "
+                     "phi_b=0.5000001", id="exp2-phi_b-1e-7-off-the-grid"),
         pytest.param("exp2", 3, 1, "0.5", "duplicate setting phi_a=0.75, phi_b=0.5",
                      id="exp2-duplicate"),
         pytest.param("exp2", 2, None, _FIXTURE_ROWS["exp2"][:3], "expected 4 settings, found 3",
@@ -729,6 +732,17 @@ def test_replay_line_numbers_count_from_the_line_after_a_byte_order_mark(tmp_pat
         replay(path)
     assert excinfo.value.line_number == 3
     assert "UTF-8" in str(excinfo.value)
+
+
+def test_replay_exactly_at_the_classical_bound_is_satisfied(tmp_path):
+    # 0.5 + 0.5 + 0.5 - (-0.5) is exactly the CHSH bound of 2: no violation
+    path = tmp_path / "values.csv"
+    path.write_text("phi_a,phi_b,phi_c,E,sigma\n0.25,0,,0.5,0.01\n0.25,0.5,,0.5,0.01\n"
+                    "-0.25,0.5,,0.5,0.01\n-0.25,0,,-0.5,0.01\n")
+    report = replay(path)
+    assert report.derived["inequality_value"] == 2.0
+    assert report.verdict["violated"] is False
+    assert "inequality satisfied: |2.000| <= 2;" in report.verdict["summary"]
 
 
 def test_replay_accepts_sigma_of_one(tmp_path):
