@@ -39,7 +39,6 @@ from .nchv import (
     expression_value,
     ghz_forcing,
     mermin_expression,
-    nchv_lower_bound,
 )
 from .reports import (
     Report,

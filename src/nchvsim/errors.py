@@ -47,3 +47,11 @@ def _require_int(name: str, value) -> None:
     """Reject anything but an int, bools included."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_sign(name: str, value) -> None:
+    """Reject anything but the int +1 or -1, True and 1.0 included."""
+    if type(value) is not int:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value not in (-1, +1):
+        raise ValidationError(f"{name} must be +1 or -1, got {value!r}")

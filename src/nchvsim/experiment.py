@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, is_finite
+from .errors import ValidationError, _require_sign, is_finite
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -103,10 +103,8 @@ class Outcome:
     def __post_init__(self):
         for name in ("a", "b", "c"):
             value = getattr(self, name)
-            if value is None:
-                continue
-            if value not in (-1, +1):
-                raise ValidationError(f"outcome {name} must be +1 or -1, got {value!r}")
+            if value is not None:
+                _require_sign(f"outcome {name}", value)
 
     def product(self) -> int:
         return self.a * self.b * (1 if self.c is None else self.c)

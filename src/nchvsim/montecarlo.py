@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import EstimationError, ValidationError, _require_int, is_finite
+from .errors import EstimationError, ValidationError, _require_int, _require_sign, is_finite
 from .experiment import OUTCOMES, Outcome, PhaseSetting
 
 # The outcome product A*B(*C) of each channel, in OUTCOMES order.
@@ -195,8 +195,7 @@ def propagate_error(
     if not estimates:
         raise ValidationError("at least one estimate required")
     for sign in signs:
-        if sign not in (-1, +1):
-            raise ValidationError(f"signs must be +1 or -1, got {sign!r}")
+        _require_sign("signs", sign)
     for value, sigma in estimates:
         if not is_finite(value):
             raise ValidationError(f"estimate values must be finite, got {value!r}")

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationLimitError, ValidationError, _require_int, is_finite
+from .errors import EnumerationLimitError, ValidationError, _require_int, _require_sign, is_finite
 
 # Largest total number of binary assignment choices classical_bound will
 # enumerate.  2**24 deterministic models is the supported ceiling.
@@ -63,56 +62,6 @@ def _check_index(name: str, index: int, size: int):
         )
 
 
-def _check_constraint(value: int):
-    if value not in (-1, +1):
-        raise ValidationError(f"constraint product must be +1 or -1, got {value!r}")
-
-
-def ghz_forcing(c1: int, c2: int, c3: int) -> int:
-    """Fourth product a*b*c at the quarter-wave phases forced by the three
-    perfect-correlation constraints.  Multiplying the constraints squares
-    every zero-phase value away, leaving c1*c2*c3."""
-    _check_constraint(c1)
-    _check_constraint(c2)
-    _check_constraint(c3)
-    return c1 * c2 * c3
-
-
-# Every assignment (a0, a1, b0, b1, c0, c1) of the {0, pi/2}^3 grid, index 0
-# at phase 0 and 1 at pi/2.
-_GHZ_ASSIGNMENTS = tuple(itertools.product((+1, -1), repeat=6))
-
-
-def _forced_products() -> dict[tuple[int, int, int], frozenset[int]]:
-    """The fourth product a1*b1*c1 of every assignment, grouped by the
-    three constraint products (a0*b0*c1, a0*b1*c0, a1*b0*c0) it meets."""
-    forced: dict[tuple[int, int, int], set[int]] = {}
-    for a0, a1, b0, b1, c0, c1 in _GHZ_ASSIGNMENTS:
-        constraints = (a0 * b0 * c1, a0 * b1 * c0, a1 * b0 * c0)
-        forced.setdefault(constraints, set()).add(a1 * b1 * c1)
-    return {constraints: frozenset(products) for constraints, products in forced.items()}
-
-
-_FORCED_PRODUCTS = _forced_products()
-
-
-def ghz_forcing_enumerated(c1: int, c2: int, c3: int) -> int:
-    """Same forced product, found by enumeration: all 64 assignments on the
-    {0, pi/2}^3 grid are enumerated once, at import, and grouped by the
-    constraints they meet; this looks up the products of the assignments
-    that meet (c1, c2, c3).  Raises if they were not unanimous."""
-    _check_constraint(c1)
-    _check_constraint(c2)
-    _check_constraint(c3)
-    products = _FORCED_PRODUCTS[c1, c2, c3]
-    if len(products) != 1:
-        raise ValidationError(
-            f"constraints ({c1}, {c2}, {c3}) do not force a unique product"
-        )
-    (product,) = products
-    return product
-
-
 @dataclass(frozen=True)
 class ExpressionTerm:
     """One signed correlation in an inequality expression.  ``c_index`` is
@@ -124,13 +73,11 @@ class ExpressionTerm:
     c_index: int | None = None
 
     def __post_init__(self):
-        _require_int("sign", self.sign)
+        _require_sign("sign", self.sign)
         _require_int("a_index", self.a_index)
         _require_int("b_index", self.b_index)
         if self.c_index is not None:
             _require_int("c_index", self.c_index)
-        if self.sign not in (-1, +1):
-            raise ValidationError(f"term sign must be +1 or -1, got {self.sign!r}")
 
 
 _CHSH = (
@@ -157,6 +104,54 @@ def mermin_expression() -> tuple[ExpressionTerm, ...]:
     """E(a0,b1,c1) - E(a0,b0,c0) - E(a1,b1,c0) - E(a1,b0,c1) on a 2x2x2
     grid."""
     return _MERMIN
+
+
+def ghz_forcing(c1: int, c2: int, c3: int) -> int:
+    """Product at the +1 term of ``mermin_expression()`` forced by products
+    (c1, c2, c3) at its -1 terms.  Each phase is read by two of the four
+    terms, so the four products multiply to +1, leaving c1*c2*c3."""
+    _require_sign("constraint product", c1)
+    _require_sign("constraint product", c2)
+    _require_sign("constraint product", c3)
+    return c1 * c2 * c3
+
+
+# Every assignment (a0, a1, b0, b1, c0, c1) of the {0, pi/2}^3 grid, index 0
+# at phase 0 and 1 at pi/2.
+_GHZ_ASSIGNMENTS = tuple(itertools.product((+1, -1), repeat=6))
+
+
+def _forced_products() -> dict[tuple[int, int, int], frozenset[int]]:
+    """The product at the +1 term of ``mermin_expression()`` under every
+    assignment, grouped by the constraints: its -1 term products, in order."""
+    forced: dict[tuple[int, int, int], set[int]] = {}
+    for values in _GHZ_ASSIGNMENTS:
+        a, b, c = values[0:2], values[2:4], values[4:6]
+        signed = [(t.sign, a[t.a_index] * b[t.b_index] * c[t.c_index]) for t in _MERMIN]
+        constraints = tuple(p for sign, p in signed if sign < 0)
+        (fourth,) = (p for sign, p in signed if sign > 0)
+        forced.setdefault(constraints, set()).add(fourth)
+    return {constraints: frozenset(products) for constraints, products in forced.items()}
+
+
+_FORCED_PRODUCTS = _forced_products()
+
+
+def ghz_forcing_enumerated(c1: int, c2: int, c3: int) -> int:
+    """Same forced product, found by enumeration: all 64 assignments on the
+    {0, pi/2}^3 grid are enumerated once, at import, and grouped by the
+    constraints they meet; this looks up the products of the assignments
+    that meet (c1, c2, c3).  Raises if they were not unanimous."""
+    _require_sign("constraint product", c1)
+    _require_sign("constraint product", c2)
+    _require_sign("constraint product", c3)
+    products = _FORCED_PRODUCTS[c1, c2, c3]
+    if len(products) != 1:
+        raise ValidationError(
+            f"constraints ({c1}, {c2}, {c3}) do not force a unique product"
+        )
+    (product,) = products
+    return product
 
 
 @functools.cache
@@ -238,20 +233,3 @@ def expression_value(
         total += term.sign * value
     return total
 
-
-def nchv_lower_bound(
-    e_a: float, e_b: float, e_c: float, sigmas: tuple[float, float, float]
-) -> tuple[float, float]:
-    """Lower bound e_a + e_b + e_c - 2 that any NCHV model puts on the
-    fourth correlation, with its quadrature standard error."""
-    for name, value in zip(("e_a", "e_b", "e_c"), (e_a, e_b, e_c)):
-        if not is_finite(value) or abs(value) > 1.0:
-            raise ValidationError(f"{name} must lie within [-1, 1], got {value!r}")
-    if len(sigmas) != 3:
-        raise ValidationError("exactly three sigmas required")
-    for s in sigmas:
-        if not is_finite(s) or s < 0.0:
-            raise ValidationError(f"sigmas must be finite and >= 0, got {s!r}")
-    bound = e_a + e_b + e_c - 2.0
-    sigma = math.sqrt(sum(s * s for s in sigmas))
-    return bound, sigma

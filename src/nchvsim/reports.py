@@ -36,7 +36,6 @@ from .nchv import (
     classical_bound,
     expression_value,
     mermin_expression,
-    nchv_lower_bound,
 )
 
 SCAN_CSV_HEADER = "phi_a,phi_b,phi_c,E_est,sigma,N_detected,E_analytic"
@@ -321,12 +320,9 @@ def _report(config: dict, test: InequalityTest, rows: list[ScanRow]) -> Report:
         # The -1 terms are the perfect-correlation settings; any NCHV model
         # they constrain has a forced lower bound on the lone +1 term.
         forcing = [r for term, r in zip(test.terms, ordered) if term.sign < 0]
-        bound, bound_sigma = nchv_lower_bound(
-            *(r.e_est for r in forcing), tuple(r.sigma for r in forcing)
-        )
         derived.update(
-            nchv_lower_bound=bound,
-            nchv_lower_bound_sigma=bound_sigma,
+            nchv_lower_bound=sum(r.e_est for r in forcing) - test.bound,
+            nchv_lower_bound_sigma=math.sqrt(sum(r.sigma * r.sigma for r in forcing)),
             fourth_value=fourth[0].e_est,
             fourth_sigma=fourth[0].sigma,
         )
@@ -381,16 +377,18 @@ def _grid_threshold(amplitude: float, limit: float, resolution: float) -> float:
 
     Needs amplitude > limit.  Grid point k is k * (1 / steps) as linspace
     computes it, and 1.0 at k = steps; the product grows with k, so the
-    search starts from the exact quotient and steps to the first such k."""
+    search starts from the exact quotient and steps up to the first such k.
+    The start, int(limit / amplitude * steps), is at most steps; after five
+    roundings of relative error eps = 2**-53 it passes the answer only if
+    amplitude / steps < ~5 eps * limit, i.e. steps > ~1.8e15, and
+    MIN_RESOLUTION caps steps at 1e12."""
     steps = int(round(1.0 / resolution))
     step = 1.0 / steps
 
     def visibility(k: int) -> float:
         return 1.0 if k == steps else k * step
 
-    k = min(int(limit / amplitude * steps), steps)
-    while k > 0 and visibility(k - 1) * amplitude > limit:
-        k -= 1
+    k = int(limit / amplitude * steps)
     while not visibility(k) * amplitude > limit:
         k += 1
     return visibility(k)

@@ -40,8 +40,10 @@ MUTANTS = [
      "a replay phase 1e-7 off the grid is matched to it"),
     ("reports", "if len(set(has_c)) > 1:", "if False:",
      "a file mixing exp1 and exp2 rows fails with a matcher message instead"),
-    ("montecarlo", "if sign not in (-1, +1):", "if sign not in (-1, 0, +1):",
-     "propagate_error accepts a sign of 0"),
+    ("errors", "if value not in (-1, +1):", "if value not in (-1, 0, +1):",
+     "propagate_error, Outcome, ExpressionTerm and the forcing functions accept a sign of 0"),
+    ("errors", "if type(value) is not int:", "if False:",
+     "True and 1.0 are accepted as signs, and 1.0 leaks into products"),
     ("montecarlo", "if self.trials <= 0:", "if self.trials < 0:",
      "CoincidenceCounts accepts 0 trials"),
     ("montecarlo",
@@ -50,6 +52,14 @@ MUTANTS = [
      "CoincidenceCounts accepts a tuple of the wrong length"),
     ("montecarlo", "counts.counts[:4]", "counts.counts[:8]",
      "the exp1 estimator reads the unmonitored A=-1 channels too"),
+    ("nchv", "free = max(range(3), key=lambda k: len(used[k]))", "free = 0",
+     "classical_bound always optimizes block a, so it may enumerate the two largest blocks"),
+    ("nchv", "constraints = tuple(p for sign, p in signed if sign < 0)",
+     "constraints = tuple(p for sign, p in signed if sign > 0)",
+     "the forcing table is keyed by the +1 term's product, not the three constraints"),
+    ("reports", "nchv_lower_bound=sum(r.e_est for r in forcing) - test.bound,",
+     "nchv_lower_bound=sum(r.e_est for r in forcing),",
+     "the NCHV lower bound omits the classical bound"),
 ]
 
 

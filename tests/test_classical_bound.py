@@ -157,3 +157,15 @@ def test_bound_with_512_terms_on_8x8x8_is_pinned_and_stays_within_6_mb():
     )
     assert classical_bound(terms, grid_of((8, 8, 8))) == 230.0
     assert peak_bytes(terms, (8, 8, 8)) <= 6 * MB
+
+
+def test_bound_reading_every_phase_of_2x11x11_optimizes_a_largest_block():
+    # Enumerating the two 11-phase blocks instead of optimizing one of them
+    # builds a (3, 2048, 2048) int64 array, 100 MB; the (12, 4, 2048) one
+    # of the right choice is 0.8 MB.
+    terms = tuple(ExpressionTerm(1, i % 2, i, 3 * i % 11) for i in range(11)) + tuple(
+        ExpressionTerm(-1, 1, i, i) for i in range(11)
+    )
+    assert {t.c_index for t in terms} == set(range(11))
+    assert classical_bound(terms, grid_of((2, 11, 11))) == 20.0
+    assert peak_bytes(terms, (2, 11, 11)) < 8 * MB

@@ -190,6 +190,10 @@ def test_phase_setting_canonicalization():
 def test_outcome_and_setting_validation():
     with pytest.raises(ValidationError):
         Outcome(0, 1, 1)
+    # True and 1.0 equal 1, but neither is a +-1 integer
+    for fields in ((1.0, 1, 1), (1, True, -1), (1, 1, -1.0), (True, 1)):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            Outcome(*fields)
     with pytest.raises(ValidationError):
         PhaseSetting(math.nan, 0.0, 0.0)
     with pytest.raises(ValidationError):

@@ -294,6 +294,10 @@ def test_propagate_error_validation():
         propagate_error([(0.5, 0.01)], [2])
     with pytest.raises(ValidationError, match="signs must be"):
         propagate_error([(0.5, 0.1)], [0])
+    # True and 1.0 equal 1, but neither is a +-1 integer
+    for sign in (True, 1.0, -1.0):
+        with pytest.raises(ValidationError, match="signs must be an integer"):
+            propagate_error([(0.5, 0.1)], [sign])
     with pytest.raises(ValidationError):
         propagate_error([(0.5, -0.01)], [1])
 

@@ -18,7 +18,6 @@ from nchvsim.nchv import (
     ghz_forcing,
     ghz_forcing_enumerated,
     mermin_expression,
-    nchv_lower_bound,
 )
 
 HALF_PI = math.pi / 2.0
@@ -65,6 +64,11 @@ def test_ghz_forcing_rejects_non_dichotomic_input():
         ghz_forcing(1, 0, 1)
     with pytest.raises(ValidationError):
         ghz_forcing_enumerated(1, 1, 2)
+    # True and 1.0 equal 1, but neither is a +-1 integer
+    for forcing in (ghz_forcing, ghz_forcing_enumerated):
+        for constraints in ((1.0, 1, 1), (1, True, 1), (1, 1, -1.0)):
+            with pytest.raises(ValidationError, match="must be an integer"):
+                forcing(*constraints)
 
 
 def test_classical_bound_chsh_is_two():
@@ -227,23 +231,6 @@ def test_mermin_value_cases():
     assert expression_value(mermin, (-1.0, 1.0, 1.0, 1.0)) == -4.0
     assert expression_value(mermin, (0.0, 0.0, 0.0, 0.0)) == 0.0
     assert expression_value(mermin, (-0.885, 0.885, 0.897, 0.884)) == pytest.approx(-3.551, abs=1e-12)
-
-
-def test_nchv_lower_bound_published_values():
-    bound, sigma = nchv_lower_bound(0.885, 0.897, 0.884, (0.005, 0.005, 0.005))
-    assert bound == pytest.approx(0.666, abs=1e-12)
-    assert sigma == pytest.approx(0.005 * math.sqrt(3.0), abs=1e-15)
-
-
-def test_nchv_lower_bound_edges():
-    bound, sigma = nchv_lower_bound(1.0, 1.0, 1.0, (0.0, 0.0, 0.0))
-    assert bound == 1.0
-    assert sigma == 0.0
-    assert nchv_lower_bound(0.9, 0.9, 0.9, (0.01, 0.01, 0.01))[0] == pytest.approx(0.7, abs=1e-12)
-    with pytest.raises(ValidationError):
-        nchv_lower_bound(1.01, 0.9, 0.9, (0.0, 0.0, 0.0))
-    with pytest.raises(ValidationError):
-        nchv_lower_bound(0.9, 0.9, 0.9, (0.0, -0.1, 0.0))
 
 
 def test_forced_product_contradicts_quantum_fourth_correlation():

@@ -19,9 +19,10 @@ from nchvsim.nchv import (
     classical_bound,
     expression_value,
     mermin_expression,
-    nchv_lower_bound,
 )
 from nchvsim.reports import (
+    MIN_RESOLUTION,
+    TESTS,
     _grid_threshold,
     Report,
     RunConfig,
@@ -342,13 +343,11 @@ BIG = 10**400  # an int no float can hold: math.isfinite raises OverflowError on
         lambda: exp1_config(sweep=(BIG, 1.0, 3)),
         lambda: exp1_config(sweep=(0.0, -BIG, 3)),
         lambda: expression_value(chsh_expression(), (0.0, BIG, 0.0, 0.0)),
-        lambda: nchv_lower_bound(0.9, BIG, 0.9, (0.0, 0.0, 0.0)),
-        lambda: nchv_lower_bound(0.9, 0.9, 0.9, (0.0, 0.0, BIG)),
         lambda: propagate_error([(0.1, 0.0), (0.2, BIG)], [1, -1]),
     ],
     ids=["PhaseSetting", "PhaseGrid", "phi_a", "phi_a_prime", "phi_b_values",
          "phi_c_values", "sweep_start", "sweep_stop", "expression_value",
-         "nchv_lower_bound_value", "nchv_lower_bound_sigma", "propagate_error_sigma"],
+         "propagate_error_sigma"],
 )
 def test_ints_too_large_for_a_float_are_validation_errors(build):
     with pytest.raises(ValidationError, match="finite|within"):
@@ -382,6 +381,26 @@ def test_replay_exp1_reference_values():
     assert derived["inequality_value"] == pytest.approx(-3.551, abs=1e-9)
     assert report.verdict["violated"] is True
     assert "seed" not in report.config
+
+
+@pytest.mark.parametrize("forcing, sigma, bound, bound_sigma", [
+    ((0.885, 0.897, 0.884), 0.005, 0.666, 0.005 * math.sqrt(3.0)),
+    ((1.0, 1.0, 1.0), 0.0, 1.0, 0.0),
+    ((0.9, 0.9, 0.9), 0.01, 0.7, 0.01 * math.sqrt(3.0)),
+])
+def test_replayed_nchv_lower_bound_sums_the_forcing_rows_less_the_bound(
+        tmp_path, forcing, sigma, bound, bound_sigma):
+    """The forcing rows are the -1 terms of the Mermin expression: the
+    lower bound is their sum less the classical bound 2, with their
+    quadrature sigma."""
+    rows = [f"{phi_a},{phi_b},{phi_c},{e},{sigma}" for (phi_a, phi_b, phi_c), e in zip(
+        (("0.46", "0", "0"), ("0.01", "0.5", "0"), ("0.01", "0", "0.5")), forcing)]
+    path = tmp_path / "values.csv"
+    path.write_text("phi_a,phi_b,phi_c,E,sigma\n" + "\n".join(rows)
+                    + f"\n0.46,0.5,0.5,-0.885,{sigma}\n")
+    derived = replay(path).derived
+    assert derived["nchv_lower_bound"] == pytest.approx(bound, abs=1e-12)
+    assert derived["nchv_lower_bound_sigma"] == pytest.approx(bound_sigma, abs=1e-15)
 
 
 def test_replay_exp2_reference_values():
@@ -622,6 +641,23 @@ def test_grid_threshold_equals_grid_scan(limit, ratio, resolution):
     assert _grid_threshold(amplitude, limit, resolution) == _grid_scan(
         amplitude, limit, resolution
     )
+
+
+def test_grid_threshold_below_any_scannable_resolution():
+    """Down to MIN_RESOLUTION, where no linspace can be scanned, the
+    threshold is the first grid point k * (1 / steps) whose product exceeds
+    the bound, and the point before it does not."""
+    rng = np.random.default_rng(5)
+    resolutions = [MIN_RESOLUTION] + [float(r) for r in 10.0 ** rng.uniform(-12.0, -5.0, 1000)]
+    for test in TESTS.values():
+        amplitude, limit = test.ideal_value, test.bound
+        for resolution in resolutions:
+            steps = int(round(1.0 / resolution))
+            v = _grid_threshold(amplitude, limit, resolution)
+            k = round(v * steps)
+            assert v == k * (1.0 / steps) and 0 < k < steps
+            assert v * amplitude > limit
+            assert not (k - 1) * (1.0 / steps) * amplitude > limit
 
 
 @pytest.mark.parametrize(
