@@ -163,12 +163,8 @@ _PHASED = np.array([
 
 
 class _Route(NamedTuple):
-    """Dense projection data for k analyzers."""
+    """Precontracted projection data for k analyzers."""
 
-    state: np.ndarray  # one axis per analyzer, in the order (A, B[, C])
-    fixed: np.ndarray  # (k, 2, 2): each bra's phase-free component
-    phased: np.ndarray  # (k, 2, 2): sign/sqrt(2) where a bra carries e^{-i phase}
-    subscripts: str
     products: np.ndarray  # A*B(*C) of each outcome, in outcome order
     coefficients: np.ndarray  # (2**k, 2**k): see _precontract
 
@@ -182,24 +178,20 @@ def _precontract(state, fixed, phased, subscripts) -> np.ndarray:
     where bit k-1-j of m puts analyzer j in S (A is the high bit), over the
     outcomes in outcome order: the state contracted with the phased
     component of the analyzers in S and the phase-free one of the rest."""
-    k = len(fixed)
-    subscripts = subscripts.replace("n", "")
     rows = []
-    for chosen in itertools.product((False, True), repeat=k):
+    for chosen in itertools.product((False, True), repeat=len(fixed)):
         bras = (phased[j] if pick else fixed[j] for j, pick in enumerate(chosen))
         rows.append(np.einsum(subscripts, *bras, state).reshape(-1))
     return np.array(rows)
 
 
-def _route(state, fixed, phased, subscripts, outcomes) -> _Route:
-    products = np.array([o.product() for o in outcomes], dtype=np.float64)
-    return _Route(state, fixed, phased, subscripts, products,
-                  _precontract(state, fixed, phased, subscripts))
-
-
 _ROUTES = {
-    3: _route(_GHZ, _FIXED[:3], _PHASED[:3], "nax,nby,ncz,xyz->nabc", OUTCOMES[3]),
-    2: _route(_EVENTREADY, _FIXED[[3, 1]], _PHASED[[3, 1]], "nax,nby,xy->nab", OUTCOMES[2]),
+    k: _Route(np.array([o.product() for o in OUTCOMES[k]], dtype=np.float64),
+              _precontract(state, _FIXED[rows], _PHASED[rows], subscripts))
+    for k, state, rows, subscripts in (
+        (3, _GHZ, [0, 1, 2], "ax,by,cz,xyz->abc"),
+        (2, _EVENTREADY, [3, 1], "ax,by,xy->ab"),
+    )
 }
 
 # Column of each outcome's (a, b, c) signs in a setting's probabilities;
@@ -276,16 +268,12 @@ class _SettingTable(NamedTuple):
 def _setting_table(n_analyzers: int, phases: tuple) -> _SettingTable:
     """Born probabilities of all 2**k outcomes at one setting, and their
     A*B(*C) expectation.  Every probability and correlation of this module
-    is read from here.
+    is read from here, with the k phases of a setting that ``_require`` or
+    ``correlations`` has checked.
 
     Phases that compare equal give bit-identical tables (0.0 and -0.0, 1
     and 1.0), so sharing their cache entry changes no probability."""
-    route = _ROUTES.get(n_analyzers)
-    if route is None or len(phases) != n_analyzers or not all(map(math.isfinite, phases)):
-        raise ValidationError(
-            f"expected 2 or 3 analyzers and as many finite phases, "
-            f"got {n_analyzers!r} and {phases!r}"
-        )
+    route = _ROUTES[n_analyzers]
     table = _project(route, phases)
     return _SettingTable(tuple(table.tolist()), (table * route.products).sum().item())
 

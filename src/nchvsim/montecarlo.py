@@ -88,7 +88,6 @@ class CorrelationEstimate:
     value: float
     sigma: float
     n: int
-    setting: PhaseSetting
 
     def __post_init__(self):
         if not -1.0 <= self.value <= 1.0:
@@ -163,7 +162,7 @@ def _mean_product(setting: PhaseSetting, channels: tuple, empty: str) -> Correla
     if used == 0:
         raise EstimationError(empty)
     value = sum(p * n for p, n in zip(_PRODUCTS[setting.analyzers], channels)) / used
-    return CorrelationEstimate(value, counting_sigma(value, used), used, setting)
+    return CorrelationEstimate(value, counting_sigma(value, used), used)
 
 
 def estimate_correlation_exp1(counts: CoincidenceCounts) -> CorrelationEstimate:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FixtureParseError, SimulationError, ValidationError, _require_int, is_finite
+from .errors import FixtureParseError, ValidationError, _require_int, is_finite
 from .experiment import PhaseSetting, correlations
 from .montecarlo import (
     NoiseModel,
@@ -407,11 +407,9 @@ def threshold_study(expression: str, resolution: float = 1e-4) -> dict:
         raise ValidationError(
             f"expression must be 'chsh' or 'mermin', got {expression!r}"
         )
+    # Both expressions exceed their bound at unit visibility, as
+    # _grid_threshold needs.
     amplitude, limit = test.ideal_value, test.bound
-    if not amplitude > limit:
-        raise SimulationError(
-            f"{expression} expression never exceeds the classical bound"
-        )
     return {
         "expression": expression,
         "classical_bound": limit,

