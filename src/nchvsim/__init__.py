@@ -28,7 +28,6 @@ from .montecarlo import (
     estimate_correlation_exp1,
     estimate_correlation_exp2,
     noisy_probability,
-    propagate_error,
     sample_counts,
 )
 from .nchv import (

@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import EstimationError, ValidationError, _require_int, _require_sign, is_finite
+from .errors import EstimationError, ValidationError, _require_int, is_finite
 from .experiment import OUTCOMES, Outcome, PhaseSetting
 
 # The outcome product A*B(*C) of each channel, in OUTCOMES order.
@@ -183,23 +183,3 @@ def estimate_correlation_exp2(counts: CoincidenceCounts) -> CorrelationEstimate:
     if counts.setting.analyzers != 2:
         raise ValidationError("exp2 estimator needs pair-coincidence counts")
     return _mean_product(counts.setting, counts.counts, "no coincidences recorded; cannot estimate")
-
-
-def propagate_error(
-    estimates: list[tuple[float, float]], signs: list[int]
-) -> tuple[float, float]:
-    """Signed sum of independent estimates with quadrature uncertainty."""
-    if len(estimates) != len(signs):
-        raise ValidationError("one sign per estimate required")
-    if not estimates:
-        raise ValidationError("at least one estimate required")
-    for sign in signs:
-        _require_sign("signs", sign)
-    for value, sigma in estimates:
-        if not is_finite(value):
-            raise ValidationError(f"estimate values must be finite, got {value!r}")
-        if not is_finite(sigma) or sigma < 0.0:
-            raise ValidationError(f"sigmas must be finite and >= 0, got {sigma!r}")
-    combined = math.fsum(s * v for s, (v, _) in zip(signs, estimates))
-    sigma = math.sqrt(math.fsum(s * s for _, s in estimates))
-    return combined, sigma

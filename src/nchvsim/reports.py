@@ -26,7 +26,6 @@ from .montecarlo import (
     NoiseModel,
     estimate_correlation_exp1,
     estimate_correlation_exp2,
-    propagate_error,
     sample_counts,
 )
 from .nchv import (
@@ -302,9 +301,7 @@ def _report(config: dict, test: InequalityTest, rows: list[ScanRow]) -> Report:
                 short.append(row.e_analytic)
     ordered = test.by_term(rows)
     value = expression_value(test.terms, [r.e_est for r in ordered])
-    _, sigma = propagate_error(
-        [(r.e_est, r.sigma) for r in ordered], [term.sign for term in test.terms]
-    )
+    sigma = math.sqrt(math.fsum(r.sigma * r.sigma for r in rows))
     # No short setting means every simulated |E| < 1, so sigma > 0 there.
     assessed = not short and sigma > 0.0
     significance = (abs(value) - test.bound) / sigma if assessed else None

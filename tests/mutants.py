@@ -42,7 +42,7 @@ MUTANTS = [
     ("reports", "if len(set(has_c)) > 1:", "if False:",
      "a file mixing exp1 and exp2 rows fails with a matcher message instead"),
     ("errors", "if value not in (-1, +1):", "if value not in (-1, 0, +1):",
-     "propagate_error, Outcome, ExpressionTerm and the forcing functions accept a sign of 0"),
+     "Outcome, ExpressionTerm and the forcing functions accept a sign of 0"),
     ("errors", "if type(value) is not int:", "if False:",
      "True and 1.0 are accepted as signs, and 1.0 leaks into products"),
     ("montecarlo", "if self.trials <= 0:", "if self.trials < 0:",
@@ -67,6 +67,16 @@ MUTANTS = [
      "a replay record of blank fields, such as ',,,,', fails to parse instead of being skipped"),
     ("reports", "/ 2.0) < MIN_SIGN_COUNT:", "/ 2.0) <= MIN_SIGN_COUNT:",
      "a setting with exactly MIN_SIGN_COUNT events of the rarer sign is not assessed"),
+    ("montecarlo", "if not -1.0 <= self.value <= 1.0:", "if False:",
+     "CorrelationEstimate accepts a correlation outside [-1, 1]"),
+    ("montecarlo", "if self.n <= 0:", "if False:",
+     "CorrelationEstimate accepts a sample size of 0"),
+    ("montecarlo", "if n <= 0:", "if False:",
+     "counting_sigma divides by a sample size of 0"),
+    ("montecarlo", "if counts.setting.analyzers != 2:", "if False:",
+     "the exp2 estimator averages the triple products of three-analyzer counts"),
+    ("reports", "math.fsum(r.sigma * r.sigma for r in rows)", "math.fsum(r.sigma for r in rows)",
+     "the inequality sigma adds the row sigmas instead of their squares"),
 ]
 
 

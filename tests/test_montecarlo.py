@@ -25,7 +25,6 @@ from nchvsim.montecarlo import (
     estimate_correlation_exp2,
     noisy_probabilities,
     noisy_probability,
-    propagate_error,
     sample_counts,
 )
 
@@ -271,43 +270,6 @@ def test_error_calibration_against_declared_sigma():
     assert spread == pytest.approx(declared, rel=0.20)
 
 
-def test_propagate_error_quadrature():
-    value, sigma = propagate_error(
-        [(0.885, 0.005), (0.897, 0.005), (0.884, 0.005)], [1, 1, 1]
-    )
-    assert value == pytest.approx(2.666, abs=1e-12)
-    assert sigma == pytest.approx(0.005 * math.sqrt(3.0), abs=1e-15)
-    value, sigma = propagate_error(
-        [(0.586, 0.008), (0.705, 0.008), (0.714, 0.008), (-0.590, 0.008)],
-        [1, 1, 1, -1],
-    )
-    assert value == pytest.approx(2.595, abs=1e-12)
-    assert sigma == pytest.approx(0.016, abs=1e-15)
-
-
-def test_propagate_error_validation():
-    with pytest.raises(ValidationError):
-        propagate_error([(0.5, 0.01)], [1, -1])
-    with pytest.raises(ValidationError):
-        propagate_error([], [])
-    with pytest.raises(ValidationError):
-        propagate_error([(0.5, 0.01)], [2])
-    with pytest.raises(ValidationError, match="signs must be"):
-        propagate_error([(0.5, 0.1)], [0])
-    # True and 1.0 equal 1, but neither is a +-1 integer
-    for sign in (True, 1.0, -1.0):
-        with pytest.raises(ValidationError, match="signs must be an integer"):
-            propagate_error([(0.5, 0.1)], [sign])
-    with pytest.raises(ValidationError):
-        propagate_error([(0.5, -0.01)], [1])
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400])
-def test_propagate_error_rejects_unusable_values(value):
-    with pytest.raises(ValidationError, match="estimate values must be finite"):
-        propagate_error([(value, 0.1)], [1])
-
-
 @pytest.mark.parametrize(
     "make, args",
     [
@@ -318,6 +280,10 @@ def test_propagate_error_rejects_unusable_values(value):
         (counting_sigma, (math.nan, 10)),  # used to give a sigma of 0.0
         (counting_sigma, (2.0, 10)),  # likewise
         (counting_sigma, (0.5, 2.5)),
+        (CorrelationEstimate, (1.5, 0.1, 10)),
+        (CorrelationEstimate, (0.5, 0.1, 0)),
+        (counting_sigma, (0.5, 0)),
+        (estimate_correlation_exp2, (CoincidenceCounts(PhaseSetting(0.0, 0.0, 0.0), (1,) * 8, 8),)),
     ],
 )
 def test_degenerate_estimates_are_rejected(make, args):
