@@ -27,7 +27,6 @@ from .montecarlo import (
     NoiseModel,
     estimate_correlation_exp1,
     estimate_correlation_exp2,
-    noisy_probability,
     sample_counts,
 )
 from .nchv import (

@@ -23,7 +23,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import EstimationError, ValidationError, _require_int, is_finite
-from .experiment import OUTCOMES, Outcome, PhaseSetting
+from .experiment import OUTCOMES, PhaseSetting
 
 # The outcome product A*B(*C) of each channel, in OUTCOMES order.
 _PRODUCTS = {k: tuple(o.product() for o in outcomes) for k, outcomes in OUTCOMES.items()}
@@ -119,16 +119,6 @@ def noisy_probabilities(setting: PhaseSetting, noise: NoiseModel) -> tuple[float
     v, bg = noise.visibility, noise.background
     return tuple((1.0 - bg) * (v * ((1.0 + p * s) / k) + (1.0 - v) / k) + bg / k
                  for p in products)
-
-
-def noisy_probability(outcome: Outcome, setting: PhaseSetting, noise: NoiseModel) -> float:
-    """The entry of ``noisy_probabilities`` for one outcome."""
-    outcomes = OUTCOMES[setting.analyzers]
-    if outcome not in outcomes:
-        raise ValidationError(
-            f"this operation needs an outcome of {setting.analyzers} analyzers, got {outcome!r}"
-        )
-    return noisy_probabilities(setting, noise)[outcomes.index(outcome)]
 
 
 def sample_counts(

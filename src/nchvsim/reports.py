@@ -124,7 +124,6 @@ TESTS = {
     "exp2": InequalityTest("chsh", "event-ready", chsh_expression(), (0, 1, 2, 3)),
 }
 EXPRESSIONS = {test.expression: test for test in TESTS.values()}
-QUANTUM_MAX_CHSH = TESTS["exp2"].quantum_maximum
 
 
 @dataclass(frozen=True)

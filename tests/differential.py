@@ -55,10 +55,10 @@ INPUTS = {
 LIBRARY = r"""
 import random, sys
 from nchvsim import (
-    PAIR_OUTCOMES, TRIPLE_OUTCOMES, EstimationError, NoiseModel, PhaseGrid, PhaseSetting,
-    classical_bound, correlation_qm2, correlation_qm3, estimate_correlation_exp1,
-    estimate_correlation_exp2, noisy_probability, sample_counts,
+    EstimationError, NoiseModel, PhaseGrid, PhaseSetting, classical_bound, correlation_qm2,
+    correlation_qm3, estimate_correlation_exp1, estimate_correlation_exp2, sample_counts,
 )
+from nchvsim.montecarlo import noisy_probabilities
 from nchvsim.nchv import ExpressionTerm
 
 rng = random.Random(16)
@@ -85,9 +85,8 @@ for i in range(200 if section == "bounds" else 400):
         continue
     k = 2 + i % 2
     s = setting(k)
-    if section == "noisy_probability":
-        n = noise()
-        print(*(noisy_probability(o, s, n).hex() for o in (PAIR_OUTCOMES, TRIPLE_OUTCOMES)[k - 2]))
+    if section == "noisy_probabilities":
+        print(*(p.hex() for p in noisy_probabilities(s, noise())))
     elif section == "correlations":
         print((correlation_qm2 if k == 2 else correlation_qm3)(s).hex())
     else:
@@ -158,7 +157,7 @@ def corpus() -> list[tuple[str, list[str], str | None]]:
         errors[f"{command} unwritable --out"] = [*first[command], "--out", "{tmp}/missing/x"]
     cases += [(name, cli + argv, None) for name, argv in errors.items()]
     cases += [(f"library {section}", ["-c", LIBRARY, section], None)
-              for section in ("noisy_probability", "correlations", "estimates", "bounds")]
+              for section in ("noisy_probabilities", "correlations", "estimates", "bounds")]
     return cases
 
 

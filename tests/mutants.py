@@ -3,20 +3,24 @@
     python tests/mutants.py
 
 Each entry of ``MUTANTS`` is (module, exact source text, replacement,
-reason).  The text must occur exactly once in ``src/nchvsim/<module>.py``,
-so that a refactor that moves the code fails loudly instead of skipping
-the mutant.  Every text is checked before the first run: if any does not
-match exactly once, each such entry is printed as NO MATCH, no mutant is
-run and the exit status is 1.  For each mutant the harness copies
-``src/``, ``tests/``, ``fixtures/`` and ``pyproject.toml`` into a
-temporary tree, because ``tests/conftest.py`` points ``PYTHONPATH`` at its
-own checkout.  It applies the replacement there and runs tier-1 with
-``-x``.  One line is printed per mutant: KILLED with the first failing
-test, or SURVIVED with the reason the mutant is wrong.  The exit status is
-1 if any mutant survives or if a run ends without naming a failed test.
+reason, killing test).  The text must occur exactly once in
+``src/nchvsim/<module>.py``, so that a refactor that moves the code fails
+loudly instead of skipping the mutant.  Every text is checked before the
+first run: if any does not match exactly once, each such entry is printed
+as NO MATCH, no mutant is run and the exit status is 1.  For each mutant
+the harness copies ``src/``, ``tests/``, ``fixtures/`` and
+``pyproject.toml`` into a temporary tree, because ``tests/conftest.py``
+points ``PYTHONPATH`` at its own checkout.  It applies the replacement
+there and first runs only the killing test, the node id that killed the
+mutant in a full run.  If that test passes, or is no longer collected
+(printed as STALE), it runs tier-1 with ``-x``, so a SURVIVED verdict
+always comes from a full run.  One line is printed per mutant: KILLED with
+the first failing test, or SURVIVED with the reason the mutant is wrong.
+The exit status is 1 if any mutant survives or if a run ends without
+naming a failed test.
 
-The file name keeps it out of pytest's collection.  Each mutant costs up to
-one tier-1 run, so CI runs this as its own job.
+The file name keeps it out of pytest's collection.  A mutant whose killing
+test still kills it costs one pytest start-up, not one tier-1 run.
 """
 
 from __future__ import annotations
@@ -31,52 +35,95 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "fixtures", "pyproject.toml")
+# pytest's exit status when a node id given on its command line is not collected.
+NOT_FOUND_EXIT = 4
 
 MUTANTS = [
     ("reports", "violated = abs(value) > test.bound", "violated = abs(value) >= test.bound",
-     "a value exactly at the classical bound is reported as a violation"),
+     "a value exactly at the classical bound is reported as a violation",
+     "tests/test_reports.py::test_replay_exactly_at_the_classical_bound_is_satisfied"),
     ("nchv", "if not 0 <= index < size:", "if not 0 <= index <= size:",
-     "an index equal to the grid size reads a phase the grid does not have"),
+     "an index equal to the grid size reads a phase the grid does not have",
+     "tests/test_nchv.py::test_classical_bound_validates_indices"),
     ("reports", "return abs(x - target) <= 1e-9", "return abs(x - target) <= 1e-6",
-     "a replay phase 1e-7 off the grid is matched to it"),
+     "a replay phase 1e-7 off the grid is matched to it",
+     "tests/test_reports.py::"
+     "test_replay_rejects_unusable_fields_with_line_numbers[exp2-phi_b-1e-7-off-the-grid]"),
     ("reports", "if len(set(has_c)) > 1:", "if False:",
-     "a file mixing exp1 and exp2 rows fails with a matcher message instead"),
+     "a file mixing exp1 and exp2 rows fails with a matcher message instead",
+     "tests/test_reports.py::test_replay_parse_errors_carry_line_numbers"),
     ("errors", "if value not in (-1, +1):", "if value not in (-1, 0, +1):",
-     "Outcome, ExpressionTerm and the forcing functions accept a sign of 0"),
+     "Outcome, ExpressionTerm and the forcing functions accept a sign of 0",
+     "tests/test_experiment.py::test_outcome_and_setting_validation"),
     ("errors", "if type(value) is not int:", "if False:",
-     "True and 1.0 are accepted as signs, and 1.0 leaks into products"),
+     "True and 1.0 are accepted as signs, and 1.0 leaks into products",
+     "tests/test_experiment.py::test_outcome_and_setting_validation"),
     ("montecarlo", "if self.trials <= 0:", "if self.trials < 0:",
-     "CoincidenceCounts accepts 0 trials"),
+     "CoincidenceCounts accepts 0 trials",
+     "tests/test_montecarlo.py::test_counts_consistency_validation"),
     ("montecarlo",
      "if not isinstance(self.counts, tuple) or len(self.counts) != n_outcomes:",
      "if not isinstance(self.counts, tuple):",
-     "CoincidenceCounts accepts a tuple of the wrong length"),
+     "CoincidenceCounts accepts a tuple of the wrong length",
+     "tests/test_montecarlo.py::"
+     "test_counts_must_be_a_tuple_with_one_entry_per_outcome[4-tuple-at-a-triple-setting]"),
     ("montecarlo", "counts.counts[:4]", "counts.counts[:8]",
-     "the exp1 estimator reads the unmonitored A=-1 channels too"),
+     "the exp1 estimator reads the unmonitored A=-1 channels too",
+     "tests/test_cli.py::"
+     "test_estimator_without_usable_events_exits_2"
+     "[argv0-error: no A=+1 coincidences recorded; cannot estimate\\n]"),
     ("nchv", "free = max(range(3), key=lambda k: len(used[k]))", "free = 0",
-     "classical_bound always optimizes block a, so it may enumerate the two largest blocks"),
+     "classical_bound always optimizes block a, so it may enumerate the two largest blocks",
+     "tests/test_classical_bound.py::"
+     "test_bound_reading_every_phase_of_2x11x11_optimizes_a_largest_block"),
     ("nchv", "constraints = tuple(p for sign, p in signed if sign < 0)",
      "constraints = tuple(p for sign, p in signed if sign > 0)",
-     "the forcing table is keyed by the +1 term's product, not the three constraints"),
+     "the forcing table is keyed by the +1 term's product, not the three constraints",
+     "tests/test_acceptance.py::test_criterion_ghz_contradiction"),
     ("reports", "nchv_lower_bound=sum(r.e_est for r in forcing) - test.bound,",
      "nchv_lower_bound=sum(r.e_est for r in forcing),",
-     "the NCHV lower bound omits the classical bound"),
+     "the NCHV lower bound omits the classical bound",
+     "tests/test_acceptance.py::test_criterion_replay_published_values"),
     ("cli", 'name in ("help", "config")', 'name in ("help",)',
-     "a config file may name another config file, which is never read"),
+     "a config file may name another config file, which is never read",
+     "tests/test_cli.py::test_config_file_may_not_set_config_or_help[config]"),
     ("reports", "if not record or all(not text.strip() for text in record):", "if not record:",
-     "a replay record of blank fields, such as ',,,,', fails to parse instead of being skipped"),
+     "a replay record of blank fields, such as ',,,,', fails to parse instead of being skipped",
+     "tests/test_reports.py::test_replay_skips_records_whose_fields_are_all_blank"),
     ("reports", "/ 2.0) < MIN_SIGN_COUNT:", "/ 2.0) <= MIN_SIGN_COUNT:",
-     "a setting with exactly MIN_SIGN_COUNT events of the rarer sign is not assessed"),
+     "a setting with exactly MIN_SIGN_COUNT events of the rarer sign is not assessed",
+     "tests/test_reports.py::"
+     "test_simulated_significance_needs_exactly_five_events_of_each_sign[0.0-True]"),
     ("montecarlo", "if not -1.0 <= self.value <= 1.0:", "if False:",
-     "CorrelationEstimate accepts a correlation outside [-1, 1]"),
+     "CorrelationEstimate accepts a correlation outside [-1, 1]",
+     "tests/test_montecarlo.py::"
+     "test_degenerate_estimates_are_rejected[CorrelationEstimate-args7]"),
     ("montecarlo", "if self.n <= 0:", "if False:",
-     "CorrelationEstimate accepts a sample size of 0"),
+     "CorrelationEstimate accepts a sample size of 0",
+     "tests/test_montecarlo.py::"
+     "test_degenerate_estimates_are_rejected[CorrelationEstimate-args8]"),
     ("montecarlo", "if n <= 0:", "if False:",
-     "counting_sigma divides by a sample size of 0"),
+     "counting_sigma divides by a sample size of 0",
+     "tests/test_montecarlo.py::test_degenerate_estimates_are_rejected[counting_sigma-args9]"),
     ("montecarlo", "if counts.setting.analyzers != 2:", "if False:",
-     "the exp2 estimator averages the triple products of three-analyzer counts"),
+     "the exp2 estimator averages the triple products of three-analyzer counts",
+     "tests/test_montecarlo.py::"
+     "test_degenerate_estimates_are_rejected[estimate_correlation_exp2-args10]"),
     ("reports", "math.fsum(r.sigma * r.sigma for r in rows)", "math.fsum(r.sigma for r in rows)",
-     "the inequality sigma adds the row sigmas instead of their squares"),
+     "the inequality sigma adds the row sigmas instead of their squares",
+     "tests/test_acceptance.py::test_criterion_replay_published_values"),
+    ("cli", "if len(parts) != 3:", "if False:",
+     "a --sweep of two parts ends in an IndexError traceback instead of a usage error",
+     "tests/test_cli.py::test_usage_error_exits_1_with_its_own_message[sweep-parts]"),
+    ("cli", 'if path == "":', "if False:",
+     "--config \"\" is reported as a missing file named '' instead of a missing path",
+     "tests/test_cli.py::test_usage_error_exits_1_with_its_own_message[config-empty]"),
+    ("cli", "if not isinstance(values, dict):", "if False:",
+     "a config file holding a JSON list ends in an AttributeError traceback",
+     "tests/test_cli.py::test_usage_error_exits_1_with_its_own_message[config-list]"),
+    ("nchv", "if len(products) != 1:", "if False:",
+     "constraints that force two products end in an unpacking ValueError",
+     "tests/test_nchv.py::test_enumerated_forcing_refuses_constraints_that_force_two_products"),
 ]
 
 
@@ -88,8 +135,21 @@ def first_failure(output: str) -> str | None:
     return None
 
 
-def run_mutant(module: str, source: str, replacement: str) -> tuple[int, str]:
-    """Exit code of tier-1 on a mutated copy of the tree, and its output."""
+def run_pytest(tree: Path, *args: str) -> tuple[int, str]:
+    """Exit code and output of ``pytest -x`` in ``tree`` against its own ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors", *args],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    return result.returncode, result.stdout + result.stderr
+
+
+def run_mutant(module: str, source: str, replacement: str, node: str) -> tuple[int, str, bool]:
+    """Exit code and output of the run that decides the mutant: ``node``
+    alone if it fails, else tier-1.  The flag is true if ``node`` was not
+    collected."""
     with tempfile.TemporaryDirectory() as scratch:
         tree = Path(scratch)
         for name in COPIED:
@@ -100,13 +160,11 @@ def run_mutant(module: str, source: str, replacement: str) -> tuple[int, str]:
                 shutil.copy2(ROOT / name, tree / name)
         path = tree / "src" / "nchvsim" / f"{module}.py"
         path.write_text(path.read_text("utf-8").replace(source, replacement), "utf-8")
-        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "--continue-on-collection-errors"],
-            cwd=tree, env=env, capture_output=True, text=True,
-        )
-        return result.returncode, result.stdout + result.stderr
+        code, output = run_pytest(tree, node)
+        stale = code == NOT_FOUND_EXIT
+        if first_failure(output) is not None:
+            return code, output, stale
+        return (*run_pytest(tree), stale)
 
 
 def label(module: str, source: str, replacement: str) -> str:
@@ -115,7 +173,7 @@ def label(module: str, source: str, replacement: str) -> str:
 
 def main() -> int:
     unmatched = 0
-    for module, source, replacement, _ in MUTANTS:
+    for module, source, replacement, _, _ in MUTANTS:
         matches = (ROOT / "src" / "nchvsim" / f"{module}.py").read_text("utf-8").count(source)
         if matches != 1:
             print(f"NO MATCH  {label(module, source, replacement)}: "
@@ -125,10 +183,12 @@ def main() -> int:
         print(f"{len(MUTANTS)} mutants, {unmatched} without exactly one match; none run")
         return 1
     faults = 0
-    for module, source, replacement, reason in MUTANTS:
+    for module, source, replacement, reason, node in MUTANTS:
         name = label(module, source, replacement)
         start = time.perf_counter()
-        code, output = run_mutant(module, source, replacement)
+        code, output, stale = run_mutant(module, source, replacement, node)
+        if stale:
+            print(f"STALE     {name}: {node} is not collected; ran tier-1", flush=True)
         seconds = f"{time.perf_counter() - start:.0f} s"
         failure = first_failure(output)
         if code == 0:

@@ -38,8 +38,8 @@ from nchvsim.nchv import (
     mermin_expression,
 )
 from nchvsim.reports import (
-    QUANTUM_MAX_CHSH,
     RunConfig,
+    TESTS,
     replay,
     report_json_text,
     run_exp1_report,
@@ -139,7 +139,7 @@ def test_criterion_bounds_and_quantum_maximum():
         best_unprimed = max(best_unprimed, e_low + e_high)
         best_primed = max(best_primed, e_high - e_low)
     scanned_max = best_unprimed + best_primed
-    assert abs(scanned_max - QUANTUM_MAX_CHSH) <= 1e-3
+    assert abs(scanned_max - TESTS["exp2"].quantum_maximum) <= 1e-3
 
 
 @criterion(4, "replaying the published correlations reproduces the quoted numbers")

@@ -163,6 +163,34 @@ def test_tokens_that_start_like_negative_numbers_are_values():
     assert path.stderr == "error: [Errno 2] No such file or directory: '-1.csv'\n"
 
 
+@pytest.mark.parametrize("argv, contents, message", [
+    ((*_SCAN1, "--phi-b", "0,x"), None,
+     "nchvsim scan: error: argument --phi-b: bad phase list '0,x'"),
+    ((*_SCAN2, "--sweep", "0:1"), None,
+     "nchvsim scan: error: argument --sweep: sweep must be start:stop:steps, got '0:1'"),
+    ((*_SCAN2, "--sweep", "0:1:x"), None,
+     "nchvsim scan: error: argument --sweep: bad sweep '0:1:x'"),
+    (("exp1", "--config", ""), None, "nchvsim: error: --config needs a file path"),
+    (("exp1", "--config", "{config}"), None,
+     "nchvsim: error: cannot read config file: "
+     "[Errno 2] No such file or directory: '{config}'"),
+    (("exp1", "--config", "{config}"), "not json",
+     "nchvsim: error: bad config file: Expecting value: line 1 column 1 (char 0)"),
+    (("exp1", "--config", "{config}"), "[1, 2]",
+     "nchvsim: error: config file must hold a JSON object"),
+], ids=["phase-list", "sweep-parts", "sweep-number", "config-empty", "config-unreadable",
+        "config-not-json", "config-list"])
+def test_usage_error_exits_1_with_its_own_message(tmp_path, capsys, argv, contents, message):
+    config = tmp_path / "run.json"
+    if contents is not None:
+        config.write_text(contents)
+    argv = [token.replace("{config}", str(config)) for token in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == message.replace("{config}", str(config))
+
+
 @pytest.mark.parametrize("argv, message", [
     (("exp1", "--trials", "1", "--seed", "0"),
      "error: no A=+1 coincidences recorded; cannot estimate\n"),

@@ -24,7 +24,6 @@ from nchvsim.montecarlo import (
     estimate_correlation_exp1,
     estimate_correlation_exp2,
     noisy_probabilities,
-    noisy_probability,
     sample_counts,
 )
 
@@ -51,45 +50,39 @@ def test_noise_model_validation():
 
 def test_noisy_probability_identity_case():
     setting = PhaseSetting(0.7, -0.3, 1.1)
-    ideal = NoiseModel()
-    for outcome in TRIPLE_OUTCOMES:
-        assert noisy_probability(outcome, setting, ideal) == joint_probability_closed_form(
-            outcome, setting
-        )
+    probabilities = noisy_probabilities(setting, NoiseModel())
+    for outcome, p in zip(TRIPLE_OUTCOMES, probabilities):
+        assert p == joint_probability_closed_form(outcome, setting)
 
 
 def test_noisy_probability_zero_visibility_is_uniform():
     setting = PhaseSetting(0.7, -0.3, 1.1)
-    noise = NoiseModel(visibility=0.0)
-    for outcome in TRIPLE_OUTCOMES:
-        assert noisy_probability(outcome, setting, noise) == pytest.approx(0.125, abs=1e-15)
+    for p in noisy_probabilities(setting, NoiseModel(visibility=0.0)):
+        assert p == pytest.approx(0.125, abs=1e-15)
     pair = PhaseSetting(0.7, -0.3)
-    for outcome in PAIR_OUTCOMES:
-        assert noisy_probability(outcome, pair, NoiseModel(visibility=0.0)) == pytest.approx(
-            0.25, abs=1e-15
-        )
+    for p in noisy_probabilities(pair, NoiseModel(visibility=0.0)):
+        assert p == pytest.approx(0.25, abs=1e-15)
 
 
 def test_noisy_probability_contracts_fringe():
     setting = PhaseSetting(HALF_PI, 0.0, 0.0)
-    noise = NoiseModel(visibility=0.885)
-    assert noisy_probability(Outcome(+1, +1, +1), setting, noise) == pytest.approx(
+    probabilities = noisy_probabilities(setting, NoiseModel(visibility=0.885))
+    assert probabilities[TRIPLE_OUTCOMES.index(Outcome(+1, +1, +1))] == pytest.approx(
         (1.0 + 0.885) / 8.0, abs=1e-15
     )
-    assert noisy_probability(Outcome(+1, +1, -1), setting, noise) == pytest.approx(
+    assert probabilities[TRIPLE_OUTCOMES.index(Outcome(+1, +1, -1))] == pytest.approx(
         (1.0 - 0.885) / 8.0, abs=1e-15
     )
 
 
 def test_noisy_probability_background_mix():
     setting = PhaseSetting(HALF_PI, 0.0, 0.0)
-    noise = NoiseModel(visibility=1.0, background=0.2)
+    probabilities = noisy_probabilities(setting, NoiseModel(visibility=1.0, background=0.2))
     # (1 - bg) * 1/4 + bg/8 for the bright outcome
-    assert noisy_probability(Outcome(+1, +1, +1), setting, noise) == pytest.approx(
+    assert probabilities[TRIPLE_OUTCOMES.index(Outcome(+1, +1, +1))] == pytest.approx(
         0.8 * 0.25 + 0.2 / 8.0, abs=1e-15
     )
-    total = sum(noisy_probability(o, setting, noise) for o in TRIPLE_OUTCOMES)
-    assert math.isclose(total, 1.0, abs_tol=1e-12)
+    assert math.isclose(sum(probabilities), 1.0, abs_tol=1e-12)
 
 
 def test_sample_counts_bright_fringe_exhausts_probability():
@@ -345,16 +338,7 @@ def test_noisy_probabilities_equal_the_closed_form_route_bit_for_bit(
     assert len(probabilities) == len(outcomes)
     for outcome, p in zip(outcomes, probabilities):
         assert p == _closed_form_noisy_probability(outcome, setting, noise)
-        assert noisy_probability(outcome, setting, noise) == p
-
-
-@pytest.mark.parametrize("outcome, setting", [
-    (Outcome(+1, +1), PhaseSetting(0.0, 0.0, 0.0)),
-    (Outcome(+1, +1, +1), PhaseSetting(0.0, 0.0)),
-])
-def test_noisy_probability_rejects_an_outcome_of_the_other_configuration(outcome, setting):
-    with pytest.raises(ValidationError, match="outcome of"):
-        noisy_probability(outcome, setting, NoiseModel(visibility=0.9))
+        assert noisy_probabilities(setting, noise)[outcomes.index(outcome)] == p
 
 
 def _reference_estimate(counts, a_values):

@@ -59,6 +59,13 @@ def test_forcing_map_groups_all_64_assignments_under_8_constraint_triples():
         assert products == {ghz_forcing(*constraints)}
 
 
+def test_enumerated_forcing_refuses_constraints_that_force_two_products(monkeypatch):
+    # No entry of the real table is ambiguous, so plant one.
+    monkeypatch.setitem(_FORCED_PRODUCTS, (+1, +1, +1), frozenset({+1, -1}))
+    with pytest.raises(ValidationError, match="do not force a unique product"):
+        ghz_forcing_enumerated(+1, +1, +1)
+
+
 def test_ghz_forcing_rejects_non_dichotomic_input():
     with pytest.raises(ValidationError):
         ghz_forcing(1, 0, 1)
