@@ -27,8 +27,8 @@ polynomial in the z of the k analyzers; its (2**k, 2**k) coefficients are
 contracted from the literal arrays once, at import.  One path projects:
 ``_setting_table`` forms the 2**k products of one setting's z, multiplies
 them into that table and keeps the setting's probabilities and
-correlation as Python floats.  The per-outcome functions and
-``correlations`` all read it.  Closed-form counterparts are provided
+correlation as Python floats.  The per-outcome functions and the
+per-setting correlations read it.  Closed-form counterparts are provided
 separately so tests can confront the two routes.
 """
 
@@ -266,21 +266,14 @@ class _SettingTable(NamedTuple):
 
 @functools.lru_cache(maxsize=_SETTING_TABLES)
 def _setting_table(n_analyzers: int, phases: tuple) -> _SettingTable:
-    """Born probabilities of all 2**k outcomes at one setting, and their
-    A*B(*C) expectation.  Every probability and correlation of this module
-    is read from here, with the k phases of a setting that ``_require`` or
-    ``correlations`` has checked.
+    """The only projection code: Born probabilities of all 2**k outcomes at
+    one setting, in outcome order, and their A*B(*C) expectation.  Every
+    probability and correlation of this module is read from here, with the
+    k phases of a setting that ``_require`` has checked.
 
     Phases that compare equal give bit-identical tables (0.0 and -0.0, 1
     and 1.0), so sharing their cache entry changes no probability."""
     route = _ROUTES[n_analyzers]
-    table = _project(route, phases)
-    return _SettingTable(tuple(table.tolist()), (table * route.products).sum().item())
-
-
-def _project(route: _Route, phases) -> np.ndarray:
-    """The only projection code: the outcome probabilities of one setting,
-    in outcome order, from its k checked phases."""
     factors = np.exp(np.array(phases, dtype=np.float64)[:, None] * _EXPONENTS)  # (k, 2): (1, z_j)
     monomials = factors[0]
     for factor in factors[1:]:
@@ -288,7 +281,8 @@ def _project(route: _Route, phases) -> np.ndarray:
     amplitudes = monomials @ route.coefficients
     # hypot rather than np.abs or amplitude * conj: those round differently,
     # and the threshold study prints sums of these values in full.
-    return np.square(np.hypot(amplitudes.real, amplitudes.imag))
+    table = np.square(np.hypot(amplitudes.real, amplitudes.imag))
+    return _SettingTable(tuple(table.tolist()), (table * route.products).sum().item())
 
 
 def joint_probability_eventready(outcome: Outcome, setting: PhaseSetting) -> float:
@@ -309,15 +303,3 @@ def correlation_qm2(setting: PhaseSetting) -> float:
     _require(2, setting)
     return _setting_table(2, (setting.phi_a, setting.phi_b)).correlation
 
-
-def correlations(settings) -> list[float]:
-    """Quantum correlation of each setting, projected setting by setting.
-
-    All settings are three-analyzer (``correlation_qm3``) or all are
-    event-ready (``correlation_qm2``)."""
-    if not settings:
-        raise ValidationError("correlations needs at least one setting")
-    k = settings[0].analyzers
-    if any(s.analyzers != k for s in settings):
-        raise ValidationError("settings mix three-analyzer and event-ready configurations")
-    return [_setting_table(k, (s.phi_a, s.phi_b, s.phi_c)[:k]).correlation for s in settings]

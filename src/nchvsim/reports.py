@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FixtureParseError, ValidationError, _require_int, is_finite
-from .experiment import PhaseSetting, correlations
+from .experiment import PhaseSetting, correlation_qm2, correlation_qm3
 from .montecarlo import (
     NoiseModel,
     estimate_correlation_exp1,
@@ -95,7 +95,8 @@ class InequalityTest:
         ideal = tuple(math.atan2(s * a, s * b) / math.pi for a, b in zip(alpha, beta))
         object.__setattr__(self, "ideal", ideal)
         phi_a, phi_a_prime = (phi * math.pi for phi in ideal)
-        at_ideal = correlations(self.settings(phi_a, phi_a_prime))
+        correlation = correlation_qm3 if analyzers == 3 else correlation_qm2
+        at_ideal = [correlation(s) for s in self.settings(phi_a, phi_a_prime)]
         value = abs(expression_value(self.terms, self.by_term(at_ideal)))
         object.__setattr__(self, "ideal_value", value)
 
@@ -391,8 +392,9 @@ def _grid_threshold(amplitude: float, limit: float, resolution: float) -> float:
 
 
 def threshold_study(expression: str, resolution: float = 1e-4) -> dict:
-    """Smallest visibility, on a grid of spacing ``resolution``, whose noisy
-    quantum expression exceeds the enumerated classical bound.
+    """Smallest visibility on a grid of spacing 1/steps, steps = round(1 /
+    resolution), whose noisy quantum expression exceeds the enumerated
+    classical bound (at resolution 0.03 the CHSH threshold is 24/33, 0.7273).
     ``resolution`` must lie in [MIN_RESOLUTION, 0.1]."""
     if not MIN_RESOLUTION <= resolution <= 0.1:
         raise ValidationError(
@@ -549,7 +551,7 @@ def _match(test: InequalityTest, rows: list[ReplayRow]) -> list[ReplayRow]:
             raise FixtureParseError(
                 row.line_number, f"analyzer phases must be 0 or 0.5 (units of pi); got {got}"
             )
-        shared = by_key.get((b, c), [])
+        shared = by_key[(b, c)]
         matched = shared
         if len(shared) != 1:
             seen = [i for i, phi_a in enumerate(phi_a_values) if _near(row.phi_a, phi_a)]

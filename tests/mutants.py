@@ -124,6 +124,15 @@ MUTANTS = [
     ("nchv", "if len(products) != 1:", "if False:",
      "constraints that force two products end in an unpacking ValueError",
      "tests/test_nchv.py::test_enumerated_forcing_refuses_constraints_that_force_two_products"),
+    ("experiment", "if setting.analyzers != k:", "if False:",
+     "a per-setting function projects a setting of the other configuration",
+     "tests/test_experiment.py::test_outcome_and_setting_validation"),
+    ("experiment", "if outcome is not None and (outcome.c is None) != (k == 2):", "if False:",
+     "a per-outcome function reads a pair outcome at a triple setting or the reverse",
+     "tests/test_experiment.py::test_outcome_and_setting_validation"),
+    ("experiment", "(table * route.products).sum().item()", "table.sum().item()",
+     "every projected correlation is the probability sum, 1, whatever the phases",
+     "tests/test_acceptance.py::test_criterion_closed_form_agreement"),
 ]
 
 

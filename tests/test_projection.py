@@ -6,23 +6,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from einsum_route import bras, einsum_table
-from nchvsim import experiment
-from nchvsim.errors import ValidationError
 from nchvsim.experiment import (
     PAIR_OUTCOMES,
     TRIPLE_OUTCOMES,
     PhaseSetting,
-    _ROUTES,
     _SETTING_TABLES,
-    _project,
     _setting_table,
     correlation_qm2,
     correlation_qm3,
-    correlations,
     joint_probability,
     joint_probability_closed_form,
     joint_probability_eventready,
@@ -48,6 +43,11 @@ def _tables(k, phases):
     return np.array([_setting_table(k, tuple(row)).probabilities for row in phases.tolist()])
 
 
+def _correlation(setting):
+    """The projected correlation of one setting of either configuration."""
+    return (correlation_qm3 if setting.analyzers == 3 else correlation_qm2)(setting)
+
+
 @settings(max_examples=60, deadline=None)
 @given(phase_tables())
 def test_table_matches_scalar_wrappers_and_closed_forms(case):
@@ -61,17 +61,16 @@ def test_table_matches_scalar_wrappers_and_closed_forms(case):
         outcomes, projected, closed, correlation = (
             PAIR_OUTCOMES, joint_probability_eventready,
             joint_probability_eventready_closed_form, correlation_qm2)
-    listed = correlations(setting_list)
-    for row, setting, e_listed in zip(phases.tolist(), setting_list, listed):
+    for row, setting in zip(phases.tolist(), setting_list):
         table = _setting_table(k, tuple(row))
         assert len(table.probabilities) == 2**k
         for p, outcome in zip(table.probabilities, outcomes):
             assert p == projected(outcome, setting)
             assert abs(p - closed(outcome, setting)) <= 1e-12
-        # bit-identical: correlations reads each setting's own table
-        assert e_listed == correlation(setting) == table.correlation
-        assert abs(e_listed - math.sin(setting.phase_sum())) <= 1e-12
-        assert type(e_listed) is float
+        e = correlation(setting)
+        assert e == table.correlation
+        assert abs(e - math.sin(setting.phase_sum())) <= 1e-12
+        assert type(e) is float
 
 
 @settings(max_examples=200, deadline=None)
@@ -133,17 +132,6 @@ def test_table_bras_are_the_labelled_eigenstates(case):
                 assert np.max(np.abs(kets[n, j, s] - expected)) <= 1e-15
 
 
-def test_correlations_need_one_configuration():
-    with pytest.raises(ValidationError):
-        correlations([])
-    with pytest.raises(ValidationError):
-        correlations([PhaseSetting(0.0, 0.0, 0.0), PhaseSetting(0.0, 0.0)])
-    with pytest.raises(ValidationError):
-        correlation_qm3(PhaseSetting(0.0, 0.0))
-    with pytest.raises(ValidationError):
-        correlation_qm2(PhaseSetting(0.0, 0.0, 0.0))
-
-
 # Phases whose cache keys collide or whose sines are exact: signed zeros,
 # integers (equal to their floats as keys) and multiples of pi/4.
 _phases = st.one_of(
@@ -183,21 +171,14 @@ def test_per_setting_functions_equal_a_fresh_projection(calls, cold):
         probabilities = [projected(outcome, setting) for outcome in outcomes]
         if not correlation_first:
             e = correlation(setting)
-        assert probabilities == _project(_ROUTES[k], phases).tolist()
+        assert probabilities == list(fresh.probabilities)
         assert e == fresh.correlation
         assert type(e) is float
 
 
-def test_outcomes_and_correlation_of_a_new_setting_cost_one_projection(monkeypatch):
+def test_outcomes_and_correlation_of_a_new_setting_cost_one_projection():
     """A triple and a pair not yet projected, asked for side by side as the
     exact-physics benchmark op does, cost one projection each."""
-    projections = []
-
-    def counted(route, phases):
-        projections.append(phases)
-        return _project(route, phases)
-
-    monkeypatch.setattr(experiment, "_project", counted)
     _setting_table.cache_clear()
     triple, pair = PhaseSetting(0.123, 0.456, 0.789), PhaseSetting(0.123, 0.456)
     correlation_qm3(triple)
@@ -208,8 +189,8 @@ def test_outcomes_and_correlation_of_a_new_setting_cost_one_projection(monkeypat
         joint_probability_eventready(outcome, pair)
     correlation_qm3(triple)
     correlation_qm2(pair)
-    assert projections == [(0.123, 0.456, 0.789), (0.123, 0.456)]
-    assert _setting_table.cache_info().misses == 2
+    info = _setting_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 14, 2)
 
 
 def test_setting_table_is_read_only_and_bounded():
@@ -227,7 +208,7 @@ def test_setting_table_is_read_only_and_bounded():
 def test_stored_ideal_value_equals_a_fresh_projection(name):
     test = TESTS[name]
     phi_a, phi_a_prime = (phi * math.pi for phi in test.ideal)
-    ideal = correlations(test.settings(phi_a, phi_a_prime))
+    ideal = [_correlation(s) for s in test.settings(phi_a, phi_a_prime)]
     assert test.ideal_value == abs(expression_value(test.terms, test.by_term(ideal)))
 
 
@@ -249,12 +230,7 @@ def inequality_tests(draw):
                      index if three else st.none())
     terms = tuple(draw(st.lists(term, min_size=1, max_size=6)))
     order = tuple(draw(st.permutations(range(len(terms)))))
-    try:
-        return InequalityTest("random", "random", terms, order)
-    except ValidationError:
-        # The optimum sets phi_a = phi_a', and report settings need two
-        # distinct A phases.
-        reject()
+    return InequalityTest("random", "random", terms, order)
 
 
 @settings(max_examples=100, deadline=None)
@@ -262,5 +238,5 @@ def inequality_tests(draw):
 def test_derived_quantum_maximum_bounds_the_projection_and_is_reached_at_ideal(test, phases):
     assume(phases[0] != phases[1])
     assert abs(test.ideal_value - test.quantum_maximum) <= 1e-12
-    at_phases = correlations(test.settings(*phases))
+    at_phases = [_correlation(s) for s in test.settings(*phases)]
     assert abs(expression_value(test.terms, test.by_term(at_phases))) <= test.quantum_maximum + 1e-12
