@@ -27,9 +27,10 @@ polynomial in the z of the k analyzers; its (2**k, 2**k) coefficients are
 contracted from the literal arrays once, at import.  One path projects:
 ``_setting_table`` forms the 2**k products of one setting's z, multiplies
 them into that table and keeps the setting's probabilities and
-correlation as Python floats.  The per-outcome functions and the
-per-setting correlations read it.  Closed-form counterparts are provided
-separately so tests can confront the two routes.
+correlation as Python floats.  Each setting keeps its own projection, so
+the per-outcome functions and the per-setting correlations project it
+once.  Closed-form counterparts are provided separately so tests can
+confront the two routes.
 """
 
 from __future__ import annotations
@@ -76,6 +77,12 @@ class PhaseSetting:
         if self.phi_c is not None:
             total += self.phi_c
         return total
+
+    @functools.cached_property
+    def _projection(self) -> _SettingTable:
+        """This setting's projection, computed on first use."""
+        k = self.analyzers
+        return _setting_table(k, (self.phi_a, self.phi_b, self.phi_c)[:k])
 
     def canonical(self) -> PhaseSetting:
         """Phases wrapped into [-pi, pi) for reporting; the physics is
@@ -217,8 +224,7 @@ def _require(k: int, setting: PhaseSetting, outcome: Outcome | None = None):
 def joint_probability(outcome: Outcome, setting: PhaseSetting) -> float:
     """Triple-coincidence probability by explicit eigenstate projection."""
     _require(3, setting, outcome)
-    table = _setting_table(3, (setting.phi_a, setting.phi_b, setting.phi_c))
-    return table.probabilities[_COLUMNS[outcome.a, outcome.b, outcome.c]]
+    return setting._projection.probabilities[_COLUMNS[outcome.a, outcome.b, outcome.c]]
 
 
 def joint_probability_closed_form(outcome: Outcome, setting: PhaseSetting) -> float:
@@ -231,7 +237,7 @@ def joint_probability_closed_form(outcome: Outcome, setting: PhaseSetting) -> fl
 def correlation_qm3(setting: PhaseSetting) -> float:
     """Expectation of the A*B*C product, summed over all eight outcomes."""
     _require(3, setting)
-    return _setting_table(3, (setting.phi_a, setting.phi_b, setting.phi_c)).correlation
+    return setting._projection.correlation
 
 
 def eventready_state() -> np.ndarray:
@@ -251,12 +257,6 @@ def conditional_state_after_trigger() -> np.ndarray:
     return (photon1 / np.linalg.norm(photon1)).reshape(4)
 
 
-# The per-outcome functions are called once per outcome of one setting, and
-# callers check a triple and a pair side by side, so the last two settings
-# projected are kept.
-_SETTING_TABLES = 2
-
-
 class _SettingTable(NamedTuple):
     """One setting's projection as Python floats."""
 
@@ -264,15 +264,11 @@ class _SettingTable(NamedTuple):
     correlation: float
 
 
-@functools.lru_cache(maxsize=_SETTING_TABLES)
 def _setting_table(n_analyzers: int, phases: tuple) -> _SettingTable:
     """The only projection code: Born probabilities of all 2**k outcomes at
     one setting, in outcome order, and their A*B(*C) expectation.  Every
-    probability and correlation of this module is read from here, with the
-    k phases of a setting that ``_require`` has checked.
-
-    Phases that compare equal give bit-identical tables (0.0 and -0.0, 1
-    and 1.0), so sharing their cache entry changes no probability."""
+    probability and correlation of this module is read from here, through
+    ``PhaseSetting._projection`` of a setting that ``_require`` has checked."""
     route = _ROUTES[n_analyzers]
     factors = np.exp(np.array(phases, dtype=np.float64)[:, None] * _EXPONENTS)  # (k, 2): (1, z_j)
     monomials = factors[0]
@@ -288,8 +284,7 @@ def _setting_table(n_analyzers: int, phases: tuple) -> _SettingTable:
 def joint_probability_eventready(outcome: Outcome, setting: PhaseSetting) -> float:
     """Conditioned pair probability by eigenstate projection."""
     _require(2, setting, outcome)
-    table = _setting_table(2, (setting.phi_a, setting.phi_b))
-    return table.probabilities[_COLUMNS[outcome.a, outcome.b, None]]
+    return setting._projection.probabilities[_COLUMNS[outcome.a, outcome.b, None]]
 
 
 def joint_probability_eventready_closed_form(outcome: Outcome, setting: PhaseSetting) -> float:
@@ -301,5 +296,5 @@ def joint_probability_eventready_closed_form(outcome: Outcome, setting: PhaseSet
 def correlation_qm2(setting: PhaseSetting) -> float:
     """Expectation of the A*B product in the event-ready configuration."""
     _require(2, setting)
-    return _setting_table(2, (setting.phi_a, setting.phi_b)).correlation
+    return setting._projection.correlation
 

@@ -158,10 +158,13 @@ def _mean_product(setting: PhaseSetting, channels: tuple, empty: str) -> Correla
 def estimate_correlation_exp1(counts: CoincidenceCounts) -> CorrelationEstimate:
     """Triple correlation from the four A=+1 coincidence channels only.
 
-    The lower beam-splitter exit is unmonitored, so the estimate doubles the
-    A=+1 relative frequencies under the A-marginal symmetry; algebraically
-    that is the mean of B*C over the A=+1 subsample, the first half of the
-    outcome order."""
+    The lower beam-splitter exit is unmonitored, so the estimate is the mean
+    of B*C over the A=+1 subsample, the first half of the outcome order.
+    That is the A*B*C correlation of all events only under fair sampling of
+    A's exits: E(BC | A=-1) = -E(BC | A=+1) at each setting.  A symmetric A
+    marginal is not enough: an equal mixture of four NCHV assignments with
+    P(A=+1) = 1/2 at every setting gives a Mermin estimate of 4, though its
+    value over all events is the classical bound 2."""
     if counts.setting.analyzers != 3:
         raise ValidationError("exp1 estimator needs triple-coincidence counts")
     return _mean_product(counts.setting, counts.counts[:4],

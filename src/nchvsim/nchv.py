@@ -179,39 +179,38 @@ def classical_bound(
     deterministic assignments, so this is the NCHV bound."""
     if not expression:
         raise ValidationError("expression must contain at least one term")
-    na, nb, nc = grid.sizes()
     if grid.total_bits() > MAX_ENUMERATION_BITS:
         raise EnumerationLimitError(
             f"grid has {grid.total_bits()} binary choices; exhaustive "
             f"enumeration supports at most {MAX_ENUMERATION_BITS}"
         )
-    for term in expression:
-        _check_index("a", term.a_index, na)
-        _check_index("b", term.b_index, nb)
-        if term.c_index is not None:
-            _check_index("c", term.c_index, nc)
 
-    # Number each block's read phases 1, 2, ... in first-use order; 0 stands
-    # for a term that reads none of the block.
-    reads = [(term.a_index, term.b_index, term.c_index) for term in expression]
+    # Check each term and number each block's read phases 1, 2, ... in
+    # first-use order, 0 standing for a term that reads none of the block;
+    # weights[i, j, k] sums the signs of the terms that read phases i, j, k.
     used: list[dict[int, int]] = [{}, {}, {}]
-    for indices in reads:
-        for block, index in zip(used, indices):
-            if index is not None:
-                block.setdefault(index, 1 + len(block))
-    # Optimize the block with the most read phases; enumerate the other two.
-    free = max(range(3), key=lambda k: len(used[k]))
-    order = (free, *(k for k in range(3) if k != free))
-    # weights[f, i, j] sums the signs of the terms that read phase f of the
-    # free block and phases i and j of the enumerated ones.
-    weights = np.zeros([1 + len(used[k]) for k in order], dtype=np.int64)
-    for term, indices in zip(expression, reads):
-        weights[tuple(used[k].get(indices[k], 0) for k in order)] += term.sign
-    _, enum1, enum2 = order
+    weights = np.zeros([1 + n for n in grid.sizes()], dtype=np.int64)
+    for term in expression:
+        at = []
+        for name, size, block, index in zip(
+            "abc", grid.sizes(), used, (term.a_index, term.b_index, term.c_index)
+        ):
+            if index is None:
+                at.append(0)
+            else:
+                _check_index(name, index, size)
+                at.append(block.setdefault(index, 1 + len(block)))
+        weights[tuple(at)] += term.sign
+    # Optimize the first block with the most read phases, swapped to the
+    # front; enumerate the other two.
+    sizes = [len(block) for block in used]
+    free = sizes.index(max(sizes))
+    weights = weights[tuple(slice(1 + n) for n in sizes)].swapaxes(0, free)
+    _, rows, columns = weights.shape
     # acc[f, x, y] is what the terms reading free phase f (none for f = 0)
     # add up to under assignment x of the first enumerated block and y of the
     # second; each free phase then takes the sign that makes its sum positive.
-    acc = _sign_table(len(used[enum1])) @ weights @ _sign_table(len(used[enum2])).T
+    acc = _sign_table(rows - 1) @ weights @ _sign_table(columns - 1).T
     np.abs(acc[1:], out=acc[1:])
     return float(acc.sum(axis=0).max())
 

@@ -15,9 +15,11 @@ there and first runs only the killing test, the node id that killed the
 mutant in a full run.  If that test passes, or is no longer collected
 (printed as STALE), it runs tier-1 with ``-x``, so a SURVIVED verdict
 always comes from a full run.  One line is printed per mutant: KILLED with
-the first failing test, or SURVIVED with the reason the mutant is wrong.
-The exit status is 1 if any mutant survives or if a run ends without
-naming a failed test.
+the first failing test, SURVIVED with the reason the mutant is wrong, or
+TIMEOUT if a pytest run lasted longer than ``TIMEOUT_SECONDS``; that run
+and every process it started are killed.  The exit status is 1 if any
+mutant survives or times out, or if a run ends without naming a failed
+test.
 
 The file name keeps it out of pytest's collection.  A mutant whose killing
 test still kills it costs one pytest start-up, not one tier-1 run.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -37,6 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "fixtures", "pyproject.toml")
 # pytest's exit status when a node id given on its command line is not collected.
 NOT_FOUND_EXIT = 4
+# Far above one tier-1 run (about a minute), so only a hanging mutant reaches it.
+TIMEOUT_SECONDS = 900
 
 MUTANTS = [
     ("reports", "violated = abs(value) > test.bound", "violated = abs(value) >= test.bound",
@@ -72,7 +77,7 @@ MUTANTS = [
      "tests/test_cli.py::"
      "test_estimator_without_usable_events_exits_2"
      "[argv0-error: no A=+1 coincidences recorded; cannot estimate\\n]"),
-    ("nchv", "free = max(range(3), key=lambda k: len(used[k]))", "free = 0",
+    ("nchv", "free = sizes.index(max(sizes))", "free = 0",
      "classical_bound always optimizes block a, so it may enumerate the two largest blocks",
      "tests/test_classical_bound.py::"
      "test_bound_reading_every_phase_of_2x11x11_optimizes_a_largest_block"),
@@ -133,6 +138,13 @@ MUTANTS = [
     ("experiment", "(table * route.products).sum().item()", "table.sum().item()",
      "every projected correlation is the probability sum, 1, whatever the phases",
      "tests/test_acceptance.py::test_criterion_closed_form_agreement"),
+    ("experiment", "@functools.cached_property", "@property",
+     "a setting projects itself again on every read",
+     "tests/test_projection.py::"
+     "test_outcomes_and_correlation_of_a_new_setting_cost_one_projection"),
+    ("nchv", "np.abs(acc[1:], out=acc[1:])", "acc[1:]",
+     "a free phase no longer takes the sign that makes its terms' sum positive",
+     "tests/test_classical_bound.py::test_classical_bound_equals_brute_force"),
 ]
 
 
@@ -144,21 +156,30 @@ def first_failure(output: str) -> str | None:
     return None
 
 
-def run_pytest(tree: Path, *args: str) -> tuple[int, str]:
-    """Exit code and output of ``pytest -x`` in ``tree`` against its own ``src``."""
+def run_pytest(tree: Path, *args: str) -> tuple[int | None, str]:
+    """Exit code and output of ``pytest -x`` in ``tree`` against its own
+    ``src``; the code is None if the run timed out."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    result = subprocess.run(
+    with subprocess.Popen(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", *args],
-        cwd=tree, env=env, capture_output=True, text=True,
-    )
-    return result.returncode, result.stdout + result.stderr
+        cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    ) as process:
+        try:
+            stdout, stderr = process.communicate(timeout=TIMEOUT_SECONDS)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)  # pytest and what it started
+            process.communicate()
+            return None, ""
+    return process.returncode, stdout + stderr
 
 
-def run_mutant(module: str, source: str, replacement: str, node: str) -> tuple[int, str, bool]:
+def run_mutant(module: str, source: str, replacement: str,
+               node: str) -> tuple[int | None, str, bool]:
     """Exit code and output of the run that decides the mutant: ``node``
-    alone if it fails, else tier-1.  The flag is true if ``node`` was not
-    collected."""
+    alone if it fails or times out, else tier-1.  The flag is true if
+    ``node`` was not collected."""
     with tempfile.TemporaryDirectory() as scratch:
         tree = Path(scratch)
         for name in COPIED:
@@ -171,7 +192,7 @@ def run_mutant(module: str, source: str, replacement: str, node: str) -> tuple[i
         path.write_text(path.read_text("utf-8").replace(source, replacement), "utf-8")
         code, output = run_pytest(tree, node)
         stale = code == NOT_FOUND_EXIT
-        if first_failure(output) is not None:
+        if code is None or first_failure(output) is not None:
             return code, output, stale
         return (*run_pytest(tree), stale)
 
@@ -200,7 +221,11 @@ def main() -> int:
             print(f"STALE     {name}: {node} is not collected; ran tier-1", flush=True)
         seconds = f"{time.perf_counter() - start:.0f} s"
         failure = first_failure(output)
-        if code == 0:
+        if code is None:
+            print(f"TIMEOUT   {name} ({seconds}): a pytest run took over "
+                  f"{TIMEOUT_SECONDS} s", flush=True)
+            faults += 1
+        elif code == 0:
             print(f"SURVIVED  {name} ({seconds}): {reason}", flush=True)
             faults += 1
         elif failure is None:

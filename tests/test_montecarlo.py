@@ -26,6 +26,7 @@ from nchvsim.montecarlo import (
     noisy_probabilities,
     sample_counts,
 )
+from nchvsim.nchv import PhaseGrid, classical_bound, expression_value, mermin_expression
 
 HALF_PI = math.pi / 2.0
 
@@ -198,6 +199,39 @@ def test_exp1_estimator_requires_events():
         estimate_correlation_exp1(
             make_counts(PhaseSetting(0.0, 0.0), {Outcome(+1, +1): 5})
         )
+
+
+# Four deterministic NCHV assignments, each written (a0, a1, b0, b1, c0, c1)
+# over the Mermin grid: index 0 at phase 0, index 1 at pi/2.
+_POST_SELECTING_MODEL = (
+    (+1, -1, +1, +1, -1, +1),
+    (-1, +1, +1, +1, -1, -1),
+    (+1, -1, -1, -1, +1, -1),
+    (-1, +1, -1, -1, +1, +1),
+)
+
+
+def test_exp1_estimator_needs_fair_sampling_of_the_a_exits():
+    """An equal mixture of the four assignments has every single-analyzer
+    marginal 0 and P(A = +1) = 1/2 at both A phases, and its Mermin value
+    over all events is the classical bound, 2.  Yet the A = +1 events alone
+    give 4: the estimator assumes E(BC | A = -1) = -E(BC | A = +1) at each
+    setting, which this model breaks."""
+    assert all(sum(column) == 0 for column in zip(*_POST_SELECTING_MODEL))
+    estimated, true = [], []
+    for term in mermin_expression():
+        setting = PhaseSetting(term.a_index * HALF_PI, term.b_index * HALF_PI,
+                               term.c_index * HALF_PI)
+        events = [Outcome(v[term.a_index], v[2 + term.b_index], v[4 + term.c_index])
+                  for v in _POST_SELECTING_MODEL]
+        assert sorted(o.a for o in events) == [-1, -1, +1, +1]
+        counts = make_counts(setting, {o: 25 * events.count(o) for o in events})
+        estimated.append(estimate_correlation_exp1(counts).value)
+        true.append(sum(o.product() for o in events) / len(events))
+    grid = PhaseGrid((0.0, HALF_PI), (0.0, HALF_PI), (0.0, HALF_PI))
+    assert expression_value(mermin_expression(), true) == 2.0
+    assert classical_bound(mermin_expression(), grid) == 2.0
+    assert expression_value(mermin_expression(), estimated) == 4.0
 
 
 def test_exp2_estimator_uses_all_channels():

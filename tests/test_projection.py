@@ -10,11 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from einsum_route import bras, einsum_table
+from nchvsim import experiment
 from nchvsim.experiment import (
     PAIR_OUTCOMES,
     TRIPLE_OUTCOMES,
     PhaseSetting,
-    _SETTING_TABLES,
     _setting_table,
     correlation_qm2,
     correlation_qm3,
@@ -132,8 +132,8 @@ def test_table_bras_are_the_labelled_eigenstates(case):
                 assert np.max(np.abs(kets[n, j, s] - expected)) <= 1e-15
 
 
-# Phases whose cache keys collide or whose sines are exact: signed zeros,
-# integers (equal to their floats as keys) and multiples of pi/4.
+# Phases that compare equal but differ (signed zeros, integers and their
+# floats) or whose sines are exact (multiples of pi/4).
 _phases = st.one_of(
     st.floats(-FOUR_PI, FOUR_PI, allow_nan=False, allow_infinity=False),
     st.sampled_from((0.0, -0.0)),
@@ -146,20 +146,15 @@ _per_setting = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    calls=st.lists(st.tuples(_per_setting, st.booleans()), min_size=1, max_size=8),
-    cold=st.booleans(),
-)
-def test_per_setting_functions_equal_a_fresh_projection(calls, cold):
-    """Each call reads the cached table of its setting; the sequence repeats
-    settings, mixes triples and pairs, and asks for the correlation before
-    or after the outcomes."""
-    if cold:
-        _setting_table.cache_clear()
+@given(calls=st.lists(st.tuples(_per_setting, st.booleans()), min_size=1, max_size=8))
+def test_per_setting_functions_equal_a_fresh_projection(calls):
+    """Each call reads the projection its setting keeps; the sequence
+    repeats settings, mixes triples and pairs, and asks for the correlation
+    before or after the outcomes."""
     for phases, correlation_first in calls * 2:
         setting = PhaseSetting(*phases)
         k = len(phases)
-        fresh = _setting_table.__wrapped__(k, phases)  # bypasses the cache
+        fresh = _setting_table(k, phases)
         if k == 3:
             outcomes, projected, correlation = (
                 TRIPLE_OUTCOMES, joint_probability, correlation_qm3)
@@ -176,10 +171,16 @@ def test_per_setting_functions_equal_a_fresh_projection(calls, cold):
         assert type(e) is float
 
 
-def test_outcomes_and_correlation_of_a_new_setting_cost_one_projection():
-    """A triple and a pair not yet projected, asked for side by side as the
-    exact-physics benchmark op does, cost one projection each."""
-    _setting_table.cache_clear()
+def test_outcomes_and_correlation_of_a_new_setting_cost_one_projection(monkeypatch):
+    """A triple and a pair, asked for side by side as the exact-physics
+    benchmark op does, cost one projection each over 16 reads."""
+    calls = []
+
+    def counted(k, phases):
+        calls.append((k, phases))
+        return _setting_table(k, phases)
+
+    monkeypatch.setattr(experiment, "_setting_table", counted)
     triple, pair = PhaseSetting(0.123, 0.456, 0.789), PhaseSetting(0.123, 0.456)
     correlation_qm3(triple)
     correlation_qm2(pair)
@@ -189,11 +190,10 @@ def test_outcomes_and_correlation_of_a_new_setting_cost_one_projection():
         joint_probability_eventready(outcome, pair)
     correlation_qm3(triple)
     correlation_qm2(pair)
-    info = _setting_table.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (2, 14, 2)
+    assert calls == [(3, (0.123, 0.456, 0.789)), (2, (0.123, 0.456))]
 
 
-def test_setting_table_is_read_only_and_bounded():
+def test_setting_table_is_read_only_and_kept_by_its_setting():
     table = _setting_table(3, (0.1, 0.2, 0.3))
     assert type(table.probabilities) is tuple
     assert all(type(p) is float for p in table.probabilities)
@@ -201,7 +201,17 @@ def test_setting_table_is_read_only_and_bounded():
         table.correlation = 1.0
     with pytest.raises(TypeError):
         table.probabilities[0] = 1.0
-    assert _setting_table.cache_info().maxsize == _SETTING_TABLES
+    for phases in ((0.1, 0.2, 0.3), (0.1, 0.2)):
+        setting = PhaseSetting(*phases)
+        projection = setting._projection
+        assert setting._projection is projection
+        assert projection == _setting_table(len(phases), phases)
+        # A projected setting still equals, hashes and prints as a fresh one;
+        # the repr is part of _require's error text.
+        fresh = PhaseSetting(*phases)
+        assert setting == fresh
+        assert hash(setting) == hash(fresh)
+        assert repr(setting) == repr(fresh)
 
 
 @pytest.mark.parametrize("name", sorted(TESTS))
