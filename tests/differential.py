@@ -49,17 +49,36 @@ INPUTS = {
     "float_trials.json": '{"trials": 1.5}\n',
     # As spreadsheets' "CSV UTF-8" export writes it.
     "bom_exp2.csv": "\ufeff" + (ROOT / "fixtures" / "exp2_reference.csv").read_text("utf-8"),
+    # One per replay matcher error.
+    "off_grid_phi_b.csv": "phi_a,phi_b,phi_c,E,sigma\n0.46,0.3,0,0.9,0.01\n",
+    "duplicate_exp1.csv": "phi_a,phi_b,phi_c,E,sigma\n0.46,0,0,0.9,0.01\n0.46,0,0,0.9,0.01\n",
+    "duplicate_exp2.csv": "phi_a,phi_b,phi_c,E,sigma\n0.25,0,,0.9,0.01\n0.25,0,,0.9,0.01\n",
+    "third_phi_a_exp2.csv": "phi_a,phi_b,phi_c,E,sigma\n"
+    "0.25,0,,0.9,0.01\n-0.25,0.5,,0.9,0.01\n0.1,0,,0.9,0.01\n",
+    "partner_phi_a_exp1.csv": "phi_a,phi_b,phi_c,E,sigma\n0.46,0,0,0.9,0.01\n0.1,0.5,0.5,0.9,0.01\n",
+    "missing_row_exp1.csv": "phi_a,phi_b,phi_c,E,sigma\n"
+    "0.46,0,0,0.885,0.005\n0.01,0.5,0,0.897,0.005\n0.01,0,0.5,0.884,0.005\n",
+    "mixed_rows.csv": "phi_a,phi_b,phi_c,E,sigma\n0.46,0,0,0.9,0.01\n0.25,0,,0.9,0.01\n",
 }
 
 # Seeded library calls, run as ``python -c LIBRARY SECTION``.
 LIBRARY = r"""
 import random, sys
+import nchvsim
 from nchvsim import (
     EstimationError, NoiseModel, PhaseGrid, PhaseSetting, classical_bound, correlation_qm2,
-    correlation_qm3, estimate_correlation_exp1, estimate_correlation_exp2, sample_counts,
+    correlation_qm3, sample_counts,
 )
 from nchvsim.montecarlo import noisy_probabilities
 from nchvsim.nchv import ExpressionTerm
+
+if hasattr(nchvsim, "estimate_correlation"):
+    estimate_correlation = nchvsim.estimate_correlation
+else:  # revisions that name one estimator per experiment
+    def estimate_correlation(counts):
+        three = counts.setting.analyzers == 3
+        return getattr(nchvsim, "estimate_correlation_exp1" if three
+                       else "estimate_correlation_exp2")(counts)
 
 rng = random.Random(16)
 section = sys.argv[1]
@@ -92,7 +111,7 @@ for i in range(200 if section == "bounds" else 400):
     else:
         counts = sample_counts(s, noise(), rng.choice((1, 3, 30, 3000)), rng.randrange(2**32))
         try:
-            e = (estimate_correlation_exp2 if k == 2 else estimate_correlation_exp1)(counts)
+            e = estimate_correlation(counts)
         except EstimationError as exc:
             print("error:", exc)
         else:
@@ -137,6 +156,11 @@ def corpus() -> list[tuple[str, list[str], str | None]]:
         "equal phases": ["exp1", "--phi-a", "0.25", "--phi-a-prime", "0.25", "--trials", "100"],
         "replay non-numeric E": ["replay", "{tmp}/non_numeric_e.csv", "--out", "{tmp}/x.json"],
         "replay missing file": ["replay", "{tmp}/missing.csv"],
+        **{f"replay {stem}": ["replay", f"{{tmp}}/{stem}.csv"]
+           for stem in ("off_grid_phi_b", "duplicate_exp1", "duplicate_exp2", "third_phi_a_exp2",
+                        "partner_phi_a_exp1", "missing_row_exp1", "mixed_rows")},
+        "exp1 without A=+1 events": ["exp1", "--trials", "1", "--seed", "0"],
+        "exp2 without events": ["exp2", "--trials", "1", "--efficiency", "0.01"],
         "threshold resolution 1e-13": ["threshold", "--expression", "chsh",
                                        "--resolution", "1e-13"],
         "trials x": ["exp1", "--trials", "x"],
