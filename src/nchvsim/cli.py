@@ -74,7 +74,7 @@ def _sweep(text: str) -> tuple[float, float, int]:
     return start, stop, steps
 
 
-def _add_noise_flags(parser: argparse.ArgumentParser):
+def _add_noise_flags(parser: argparse.ArgumentParser, pairs: str):
     parser.add_argument("--visibility", type=float, default=1.0,
                         help="interference contrast in [0, 1] (default 1)")
     parser.add_argument("--efficiency", type=float, default=1.0,
@@ -82,7 +82,7 @@ def _add_noise_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--background", type=float, default=0.0,
                         help="uniform background fraction in [0, 1) (default 0)")
     parser.add_argument("--trials", type=int, default=10000,
-                        help="emitted pairs per setting (default 10000)")
+                        help=f"{pairs} per setting (default 10000)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"generator seed (default {DEFAULT_SEED})")
 
@@ -111,7 +111,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     scan = sub.add_parser("scan", help="sweep phi_a and write a fringe CSV")
     scan.add_argument("--experiment", choices=("exp1", "exp2"), required=True)
-    _add_noise_flags(scan)
+    _add_noise_flags(scan, "pairs, emitted for exp1 and heralded for exp2,")
     scan.add_argument("--phi-b", type=_phase_list, default=(0.0,),
                       help="comma-separated fixed phi_b values, units of pi (default 0)")
     scan.add_argument("--phi-c", type=_phase_list, default=None,
@@ -123,10 +123,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     scan.add_argument("--config", help="JSON file with defaults for these flags")
     scan.set_defaults(run=_run_scan)
 
-    for name, help_text in (("exp1", "run the three-analyzer inequality report"),
-                            ("exp2", "run the event-ready CHSH report")):
+    for name, help_text, pairs in (
+        ("exp1", "run the three-analyzer inequality report", "emitted pairs"),
+        ("exp2", "run the event-ready CHSH report",
+         "heralded pairs, each standing for about two emitted pairs,"),
+    ):
         report = sub.add_parser(name, help=help_text)
-        _add_noise_flags(report)
+        _add_noise_flags(report, pairs)
         _add_inequality_phase_flags(report, name)
         report.add_argument("--out", help="JSON report path")
         report.add_argument("--config", help="JSON file with defaults for these flags")

@@ -126,11 +126,15 @@ def sample_counts(
 ) -> CoincidenceCounts:
     """Simulate coincidence collection at one setting.
 
-    Each emitted pair survives detection with probability ``efficiency``
-    (fair sampling); each surviving event draws one uniform number, and the
-    outcomes, in their fixed order, are counted by thresholds on those
-    draws at the cumulative outcome probabilities.  Deterministic for a
-    given seed."""
+    A trial is one pair: an emitted pair at a three-analyzer setting, and a
+    heralded pair (C = +1 fired at phi_c = 0) at an event-ready one, whose
+    outcomes are drawn from the heralded distribution directly.  The herald
+    fires for half of the emitted pairs, so ``trials=n`` there stands for
+    about 2n emitted pairs.  Each pair survives detection with probability
+    ``efficiency`` (fair sampling); each surviving event draws one uniform
+    number, and the outcomes, in their fixed order, are counted by
+    thresholds on those draws at the cumulative outcome probabilities.
+    Deterministic for a given seed."""
     _require_int("trials", trials)
     if trials <= 0:
         raise ValidationError(f"trials must be positive, got {trials!r}")
