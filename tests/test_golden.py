@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,6 +70,30 @@ def test_cli_output_matches_golden_bytes(tmp_path, name):
     suffix = CASES[name][1]
     if suffix is not None:
         assert written == (GOLDEN / f"{name}{suffix}").read_bytes()
+
+
+# The first child seed of the exp1 golden (seed 3, 4 settings) and of the
+# scan_exp2 golden (seed 9, 14 settings), as reports._setting_seeds derives
+# it, with the first draws that sample_counts makes from it at that golden's
+# trials and efficiency.
+STREAM = [
+    (3, 4, 12467808127879573787, 10000, 1.0,
+     10000, ["0x1.d09175a98f133p-1", "0x1.29b7a4a8437c8p-1", "0x1.cf53b1f337105p-1"]),
+    (9, 14, 18364911077201671484, 2000, 0.3,
+     617, ["0x1.08e6554c59600p-8", "0x1.67994f27d5121p-1", "0x1.138c024c0fc74p-1"]),
+]
+
+
+@pytest.mark.parametrize("seed, settings, child, trials, efficiency, detected, draws", STREAM)
+def test_numpy_random_stream_behind_the_goldens_is_unchanged(
+        seed, settings, child, trials, efficiency, detected, draws):
+    changed = (f"numpy's random stream changed (numpy {np.__version__} is installed; the "
+               "goldens were written with numpy 2.4.6), so the goldens no longer pin this code")
+    state = np.random.SeedSequence(seed).generate_state(settings, dtype=np.uint64)
+    assert int(state[0]) == child, changed
+    rng = np.random.default_rng(child)
+    assert int(rng.binomial(trials, efficiency)) == detected, changed
+    assert [float(x).hex() for x in rng.random(len(draws))] == draws, changed
 
 
 if __name__ == "__main__":
