@@ -25,8 +25,7 @@ from .montecarlo import (
     CoincidenceCounts,
     CorrelationEstimate,
     NoiseModel,
-    estimate_correlation_exp1,
-    estimate_correlation_exp2,
+    estimate_correlation,
     sample_counts,
 )
 from .nchv import (

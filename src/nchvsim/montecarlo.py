@@ -6,12 +6,11 @@ fraction of uniformly random coincidences is mixed in, and detection is a
 per-pair Bernoulli thinning that is independent of the analyzer outcomes.
 
 Every function reads the number of analyzers k off the setting
-(``PhaseSetting.analyzers``) and works on its 2**k outcomes.  Both
-estimators follow one counting rule: the correlation is the mean of the
-outcome product A*B(*C) over the channels the experiment records, and it
-carries the standard error ``sigma = sqrt((1 - E**2) / N)`` of a mean of
-``N`` +-1 observations, where ``N`` counts the coincidences in those
-channels.
+(``PhaseSetting.analyzers``) and works on its 2**k outcomes.  The
+estimator's correlation is the mean of the outcome product A*B(*C) over
+the channels the experiment records, and it carries the standard error
+``sigma = sqrt((1 - E**2) / N)`` of a mean of ``N`` +-1 observations,
+where ``N`` counts the coincidences in those channels.
 """
 
 from __future__ import annotations
@@ -149,34 +148,23 @@ def sample_counts(
     return CoincidenceCounts(setting, counts, trials)
 
 
-def _mean_product(setting: PhaseSetting, channels: tuple, empty: str) -> CorrelationEstimate:
-    """Mean of the outcome product over ``channels``, leading counts in outcome
-    order; raises EstimationError(``empty``) if they hold no event."""
-    used = sum(channels)
+def estimate_correlation(counts: CoincidenceCounts) -> CorrelationEstimate:
+    """Mean of the outcome product over the four recorded channels, the
+    first four in outcome order: all four at a pair setting, the A=+1 half
+    at a triple setting.  Raises EstimationError if they hold no event.
+
+    At a triple setting the lower beam-splitter exit is unmonitored, so the
+    estimate is the mean of B*C over the A=+1 subsample.  That is the A*B*C
+    correlation of all events only under fair sampling of A's exits:
+    E(BC | A=-1) = -E(BC | A=+1) at each setting.  A symmetric A marginal is
+    not enough: an equal mixture of four NCHV assignments with P(A=+1) = 1/2
+    at every setting gives a Mermin estimate of 4, though its value over all
+    events is the classical bound 2."""
+    analyzers = counts.setting.analyzers
+    recorded = counts.counts[:4]
+    used = sum(recorded)
     if used == 0:
-        raise EstimationError(empty)
-    value = sum(p * n for p, n in zip(_PRODUCTS[setting.analyzers], channels)) / used
+        raise EstimationError("no A=+1 coincidences recorded; cannot estimate" if analyzers == 3
+                              else "no coincidences recorded; cannot estimate")
+    value = sum(p * n for p, n in zip(_PRODUCTS[analyzers], recorded)) / used
     return CorrelationEstimate(value, counting_sigma(value, used), used)
-
-
-def estimate_correlation_exp1(counts: CoincidenceCounts) -> CorrelationEstimate:
-    """Triple correlation from the four A=+1 coincidence channels only.
-
-    The lower beam-splitter exit is unmonitored, so the estimate is the mean
-    of B*C over the A=+1 subsample, the first half of the outcome order.
-    That is the A*B*C correlation of all events only under fair sampling of
-    A's exits: E(BC | A=-1) = -E(BC | A=+1) at each setting.  A symmetric A
-    marginal is not enough: an equal mixture of four NCHV assignments with
-    P(A=+1) = 1/2 at every setting gives a Mermin estimate of 4, though its
-    value over all events is the classical bound 2."""
-    if counts.setting.analyzers != 3:
-        raise ValidationError("exp1 estimator needs triple-coincidence counts")
-    return _mean_product(counts.setting, counts.counts[:4],
-                         "no A=+1 coincidences recorded; cannot estimate")
-
-
-def estimate_correlation_exp2(counts: CoincidenceCounts) -> CorrelationEstimate:
-    """Conditioned pair correlation using all four outcome channels."""
-    if counts.setting.analyzers != 2:
-        raise ValidationError("exp2 estimator needs pair-coincidence counts")
-    return _mean_product(counts.setting, counts.counts, "no coincidences recorded; cannot estimate")

@@ -88,10 +88,10 @@ _CHSH = (
 )
 
 _MERMIN = (
-    ExpressionTerm(+1, 0, 1, 1),
     ExpressionTerm(-1, 0, 0, 0),
     ExpressionTerm(-1, 1, 1, 0),
     ExpressionTerm(-1, 1, 0, 1),
+    ExpressionTerm(+1, 0, 1, 1),
 )
 
 
@@ -101,8 +101,8 @@ def chsh_expression() -> tuple[ExpressionTerm, ...]:
 
 
 def mermin_expression() -> tuple[ExpressionTerm, ...]:
-    """E(a0,b1,c1) - E(a0,b0,c0) - E(a1,b1,c0) - E(a1,b0,c1) on a 2x2x2
-    grid."""
+    """-E(a0,b0,c0) - E(a1,b1,c0) - E(a1,b0,c1) + E(a0,b1,c1) on a 2x2x2
+    grid: the three perfect-correlation terms, then the term they force."""
     return _MERMIN
 
 

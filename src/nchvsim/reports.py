@@ -22,12 +22,7 @@ import numpy as np
 
 from .errors import FixtureParseError, ValidationError, _require_int, is_finite
 from .experiment import PhaseSetting, correlation_qm2, correlation_qm3
-from .montecarlo import (
-    NoiseModel,
-    estimate_correlation_exp1,
-    estimate_correlation_exp2,
-    sample_counts,
-)
+from .montecarlo import NoiseModel, estimate_correlation, sample_counts
 from .nchv import (
     ExpressionTerm,
     PhaseGrid,
@@ -57,7 +52,7 @@ MIN_RESOLUTION = 1e-12
 class InequalityTest:
     """One test, read off its inequality expression.
 
-    Report setting i measures ``terms[order[i]]``, at the term's grid
+    Report setting i measures ``terms[i]``, at the term's grid
     indices on (phi_a, phi_a') x (0, pi/2) [x (0, pi/2)].  The rest is
     derived from the terms, once.  The classical bound is enumerated on
     ``grid``, which has (0, pi/2) for every analyzer.  Each correlation is
@@ -73,7 +68,6 @@ class InequalityTest:
     expression: str
     label: str
     terms: tuple[ExpressionTerm, ...]
-    order: tuple[int, ...]
     grid: PhaseGrid = field(init=False)
     bound: float = field(init=False)
     quantum_maximum: float = field(init=False)
@@ -97,11 +91,8 @@ class InequalityTest:
         phi_a, phi_a_prime = (phi * math.pi for phi in ideal)
         correlation = correlation_qm3 if analyzers == 3 else correlation_qm2
         at_ideal = [correlation(s) for s in self.settings(phi_a, phi_a_prime)]
-        value = abs(expression_value(self.terms, self.by_term(at_ideal)))
+        value = abs(expression_value(self.terms, at_ideal))
         object.__setattr__(self, "ideal_value", value)
-
-    def report_terms(self) -> list[ExpressionTerm]:
-        return [self.terms[k] for k in self.order]
 
     def settings(self, phi_a: float, phi_a_prime: float) -> list[PhaseSetting]:
         """The report settings: each reads its term's phases off the test
@@ -111,18 +102,13 @@ class InequalityTest:
         return [
             PhaseSetting(a_phases[term.a_index], grid.b_phases[term.b_index],
                          None if term.c_index is None else grid.c_phases[term.c_index])
-            for term in self.report_terms()
+            for term in self.terms
         ]
-
-    def by_term(self, per_setting: list) -> list:
-        """Reorder values given per report setting into expression order."""
-        by_term = dict(zip(self.order, per_setting))
-        return [by_term[k] for k in range(len(self.terms))]
 
 
 TESTS = {
-    "exp1": InequalityTest("mermin", "three-analyzer", mermin_expression(), (1, 2, 3, 0)),
-    "exp2": InequalityTest("chsh", "event-ready", chsh_expression(), (0, 1, 2, 3)),
+    "exp1": InequalityTest("mermin", "three-analyzer", mermin_expression()),
+    "exp2": InequalityTest("chsh", "event-ready", chsh_expression()),
 }
 EXPRESSIONS = {test.expression: test for test in TESTS.values()}
 
@@ -218,9 +204,7 @@ def _simulate(config: RunConfig, settings: list[PhaseSetting]) -> list[ScanRow]:
     rows = []
     for setting, seed in zip(settings, seeds):
         counts = sample_counts(setting, config.noise, config.trials_per_setting, seed)
-        estimator = (estimate_correlation_exp1 if setting.analyzers == 3
-                     else estimate_correlation_exp2)
-        est = estimator(counts)
+        est = estimate_correlation(counts)
         rows.append(_row(setting, est.value, est.sigma, est.n,
                          contrast * math.sin(setting.phase_sum())))
     return rows
@@ -282,7 +266,7 @@ def _config_echo(config: RunConfig) -> dict:
 
 def _report(config: dict, test: InequalityTest, rows: list[ScanRow]) -> Report:
     """Entries, derived quantities and verdict from the rows of the report
-    settings, in report order.  A row without an event count is replayed:
+    settings, one per term of ``test.terms``, in expression order.  A row without an event count is replayed:
     its entry carries no ``n`` and no ``analytic``.
 
     The verdict is assessed only with a real error estimate: sigma > 0,
@@ -299,8 +283,7 @@ def _report(config: dict, test: InequalityTest, rows: list[ScanRow]) -> Report:
             # an integer, so rounding only removes float error.
             if round(row.n_detected * (1.0 - abs(row.e_est)) / 2.0) < MIN_SIGN_COUNT:
                 short.append(row.e_analytic)
-    ordered = test.by_term(rows)
-    value = expression_value(test.terms, [r.e_est for r in ordered])
+    value = expression_value(test.terms, [r.e_est for r in rows])
     sigma = math.sqrt(math.fsum(r.sigma * r.sigma for r in rows))
     # No short setting means every simulated |E| < 1, so sigma > 0 there.
     assessed = not short and sigma > 0.0
@@ -312,11 +295,11 @@ def _report(config: dict, test: InequalityTest, rows: list[ScanRow]) -> Report:
         "quantum_maximum": test.quantum_maximum,
         "significance": significance,
     }
-    fourth = [r for term, r in zip(test.terms, ordered) if term.sign > 0]
+    fourth = [r for term, r in zip(test.terms, rows) if term.sign > 0]
     if len(fourth) == 1:
         # The -1 terms are the perfect-correlation settings; any NCHV model
         # they constrain has a forced lower bound on the lone +1 term.
-        forcing = [r for term, r in zip(test.terms, ordered) if term.sign < 0]
+        forcing = [r for term, r in zip(test.terms, rows) if term.sign < 0]
         derived.update(
             nchv_lower_bound=sum(r.e_est for r in forcing) - test.bound,
             nchv_lower_bound_sigma=math.sqrt(sum(r.sigma * r.sigma for r in forcing)),
@@ -529,14 +512,14 @@ def _grid_index(phi: float) -> int | None:
 
 
 def _match(test: InequalityTest, rows: list[ReplayRow]) -> list[ReplayRow]:
-    """Rows in report order, one per term of ``test.report_terms()``.
+    """Rows in expression order, one per term of ``test.terms``.
 
     A row's phi_b, and its phi_c if present, must be 0 or 0.5 (units of pi),
     which gives its grid indices, and its term is the one with those
     indices.  Where two terms share them, phi_a tells them apart: the
     distinct phi_a values are numbered in file order, so the first is a.
     Rows whose terms read the same a phase must give the same phi_a."""
-    terms = test.report_terms()
+    terms = test.terms
     by_key: dict[tuple[int, int | None], list[int]] = {}
     for k, term in enumerate(terms):
         by_key.setdefault((term.b_index, term.c_index), []).append(k)

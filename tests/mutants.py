@@ -73,7 +73,12 @@ MUTANTS = [
      "tests/test_montecarlo.py::"
      "test_counts_must_be_a_tuple_with_one_entry_per_outcome[4-tuple-at-a-triple-setting]"),
     ("montecarlo", "counts.counts[:4]", "counts.counts[:8]",
-     "the exp1 estimator reads the unmonitored A=-1 channels too",
+     "the estimator reads the unmonitored A=-1 channels of a triple setting too",
+     "tests/test_cli.py::"
+     "test_estimator_without_usable_events_exits_2"
+     "[argv0-error: no A=+1 coincidences recorded; cannot estimate\\n]"),
+    ("montecarlo", "if analyzers == 3", "if analyzers == 2",
+     "an exp1 run without A=+1 events reports the exp2 message, and the reverse",
      "tests/test_cli.py::"
      "test_estimator_without_usable_events_exits_2"
      "[argv0-error: no A=+1 coincidences recorded; cannot estimate\\n]"),
@@ -110,10 +115,6 @@ MUTANTS = [
     ("montecarlo", "if n <= 0:", "if False:",
      "counting_sigma divides by a sample size of 0",
      "tests/test_montecarlo.py::test_degenerate_estimates_are_rejected[counting_sigma-args9]"),
-    ("montecarlo", "if counts.setting.analyzers != 2:", "if False:",
-     "the exp2 estimator averages the triple products of three-analyzer counts",
-     "tests/test_montecarlo.py::"
-     "test_degenerate_estimates_are_rejected[estimate_correlation_exp2-args10]"),
     ("reports", "math.fsum(r.sigma * r.sigma for r in rows)", "math.fsum(r.sigma for r in rows)",
      "the inequality sigma adds the row sigmas instead of their squares",
      "tests/test_acceptance.py::test_criterion_replay_published_values"),

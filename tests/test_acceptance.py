@@ -26,7 +26,7 @@ from nchvsim.experiment import (
 )
 from nchvsim.montecarlo import (
     NoiseModel,
-    estimate_correlation_exp1,
+    estimate_correlation,
     sample_counts,
 )
 from nchvsim.nchv import (
@@ -168,7 +168,7 @@ def test_criterion_estimator_calibration():
         declared = []
         for k in range(200):
             counts = sample_counts(setting, noise, trials=10000, seed=1000 * index + k)
-            est = estimate_correlation_exp1(counts)
+            est = estimate_correlation(counts)
             values.append(est.value)
             declared.append(est.sigma)
         values = np.asarray(values)
@@ -219,10 +219,10 @@ def test_criterion_fair_sampling():
     bright = NoiseModel(visibility=0.885, efficiency=1.0)
     dim = NoiseModel(visibility=0.885, efficiency=0.08)
     for index, setting in enumerate(PUBLISHED_SETTINGS):
-        full = estimate_correlation_exp1(
+        full = estimate_correlation(
             sample_counts(setting, bright, trials=10000, seed=50 + index)
         )
-        thinned = estimate_correlation_exp1(
+        thinned = estimate_correlation(
             sample_counts(setting, dim, trials=125000, seed=150 + index)
         )
         gap = abs(full.value - thinned.value)

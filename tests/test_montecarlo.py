@@ -21,8 +21,7 @@ from nchvsim.montecarlo import (
     CorrelationEstimate,
     NoiseModel,
     counting_sigma,
-    estimate_correlation_exp1,
-    estimate_correlation_exp2,
+    estimate_correlation,
     noisy_probabilities,
     sample_counts,
 )
@@ -176,7 +175,7 @@ def test_exp1_estimator_uses_only_plus_channels():
         # A=-1 events must not move the estimate
         Outcome(-1, +1, +1): 9000,
     }
-    est = estimate_correlation_exp1(make_counts(setting, mapping))
+    est = estimate_correlation(make_counts(setting, mapping))
     assert est.value == pytest.approx(1.0, abs=0.0)
     assert est.n == 500
     assert est.sigma == 0.0
@@ -185,7 +184,7 @@ def test_exp1_estimator_uses_only_plus_channels():
 def test_exp1_estimator_balanced_counts_give_zero():
     setting = PhaseSetting(0.0, 0.0, 0.0)
     mapping = {Outcome(+1, b, c): 250 for b in (1, -1) for c in (1, -1)}
-    est = estimate_correlation_exp1(make_counts(setting, mapping))
+    est = estimate_correlation(make_counts(setting, mapping))
     assert est.value == 0.0
     assert est.sigma == pytest.approx(math.sqrt(1.0 / 1000.0), abs=1e-15)
 
@@ -194,11 +193,7 @@ def test_exp1_estimator_requires_events():
     setting = PhaseSetting(0.0, 0.0, 0.0)
     mapping = {Outcome(-1, +1, +1): 50}
     with pytest.raises(EstimationError):
-        estimate_correlation_exp1(make_counts(setting, mapping))
-    with pytest.raises(ValidationError):
-        estimate_correlation_exp1(
-            make_counts(PhaseSetting(0.0, 0.0), {Outcome(+1, +1): 5})
-        )
+        estimate_correlation(make_counts(setting, mapping))
 
 
 # Four deterministic NCHV assignments, each written (a0, a1, b0, b1, c0, c1)
@@ -226,7 +221,7 @@ def test_exp1_estimator_needs_fair_sampling_of_the_a_exits():
                   for v in _POST_SELECTING_MODEL]
         assert sorted(o.a for o in events) == [-1, -1, +1, +1]
         counts = make_counts(setting, {o: 25 * events.count(o) for o in events})
-        estimated.append(estimate_correlation_exp1(counts).value)
+        estimated.append(estimate_correlation(counts).value)
         true.append(sum(o.product() for o in events) / len(events))
     grid = PhaseGrid((0.0, HALF_PI), (0.0, HALF_PI), (0.0, HALF_PI))
     assert expression_value(mermin_expression(), true) == 2.0
@@ -242,11 +237,11 @@ def test_exp2_estimator_uses_all_channels():
         Outcome(+1, -1): 50,
         Outcome(-1, +1): 50,
     }
-    est = estimate_correlation_exp2(make_counts(setting, mapping))
+    est = estimate_correlation(make_counts(setting, mapping))
     assert est.value == pytest.approx((700 + 200 - 100) / 1000.0, abs=1e-15)
     assert est.n == 1000
     with pytest.raises(EstimationError):
-        estimate_correlation_exp2(make_counts(setting, {Outcome(+1, +1): 0}, trials=10))
+        estimate_correlation(make_counts(setting, {Outcome(+1, +1): 0}, trials=10))
 
 
 def test_estimator_consistency_large_sample():
@@ -257,14 +252,14 @@ def test_estimator_consistency_large_sample():
             phases = rng.uniform(-math.pi, math.pi, size=3)
             setting = PhaseSetting(*phases)
             counts = sample_counts(setting, noise, trials=1_000_000, seed=int(rng.integers(1 << 30)))
-            est = estimate_correlation_exp1(counts)
+            est = estimate_correlation(counts)
             expected = visibility * math.sin(setting.phase_sum())
             margin = 4.0 * counting_sigma(expected, est.n)
             assert abs(est.value - expected) <= margin
 
             pair = PhaseSetting(phases[0], phases[1])
             counts2 = sample_counts(pair, noise, trials=200_000, seed=int(rng.integers(1 << 30)))
-            est2 = estimate_correlation_exp2(counts2)
+            est2 = estimate_correlation(counts2)
             expected2 = visibility * math.sin(pair.phase_sum())
             margin2 = 4.0 * counting_sigma(expected2, est2.n)
             assert abs(est2.value - expected2) <= margin2
@@ -275,8 +270,8 @@ def test_fair_sampling_neutrality():
     noise_full = NoiseModel(visibility=0.885, efficiency=1.0)
     noise_thin = NoiseModel(visibility=0.885, efficiency=0.08)
     setting = PhaseSetting(0.46 * math.pi, 0.0, 0.0)
-    full = estimate_correlation_exp1(sample_counts(setting, noise_full, 10_000, seed=11))
-    thin = estimate_correlation_exp1(
+    full = estimate_correlation(sample_counts(setting, noise_full, 10_000, seed=11))
+    thin = estimate_correlation(
         sample_counts(setting, noise_thin, 125_000, seed=12)
     )
     margin = 4.0 * math.hypot(full.sigma, thin.sigma)
@@ -289,7 +284,7 @@ def test_error_calibration_against_declared_sigma():
     values = []
     sigmas = []
     for seed in range(100):
-        est = estimate_correlation_exp1(sample_counts(setting, noise, 4000, seed=seed))
+        est = estimate_correlation(sample_counts(setting, noise, 4000, seed=seed))
         values.append(est.value)
         sigmas.append(est.sigma)
     spread = float(np.std(values, ddof=1))
@@ -310,7 +305,6 @@ def test_error_calibration_against_declared_sigma():
         (CorrelationEstimate, (1.5, 0.1, 10)),
         (CorrelationEstimate, (0.5, 0.1, 0)),
         (counting_sigma, (0.5, 0)),
-        (estimate_correlation_exp2, (CoincidenceCounts(PhaseSetting(0.0, 0.0, 0.0), (1,) * 8, 8),)),
     ],
 )
 def test_degenerate_estimates_are_rejected(make, args):
@@ -396,14 +390,12 @@ _COUNT = st.one_of(st.just(0), st.integers(0, 5), st.integers(0, 10**12))
 def test_estimators_equal_the_outcome_loop_bit_for_bit(triple, counts):
     setting = PhaseSetting(0.1, 0.2, 0.3) if triple else PhaseSetting(0.1, 0.2)
     counts = CoincidenceCounts(setting, counts if triple else counts[:4], 10**13)
-    estimator, a_values = ((estimate_correlation_exp1, (+1,)) if triple
-                           else (estimate_correlation_exp2, (+1, -1)))
-    expected = _reference_estimate(counts, a_values)
+    expected = _reference_estimate(counts, (+1,) if triple else (+1, -1))
     if expected is None:
         with pytest.raises(EstimationError):
-            estimator(counts)
+            estimate_correlation(counts)
         return
-    estimate = estimator(counts)
+    estimate = estimate_correlation(counts)
     assert (estimate.value.hex(), estimate.sigma.hex(), estimate.n) == expected
 
 
@@ -426,9 +418,8 @@ def test_sample_counts_equals_binary_search_route(
     histogram, detected = _binary_search_counts(setting, noise, trials, seed)
     assert list(counts.counts) == histogram
     assert counts.detected == detected
-    estimator = estimate_correlation_exp1 if triple else estimate_correlation_exp2
     try:
-        estimate = estimator(counts)
+        estimate = estimate_correlation(counts)
     except EstimationError:
         return  # no usable coincidences at this setting
     assert -1.0 <= estimate.value <= 1.0

@@ -235,9 +235,9 @@ def test_chsh_value_accepts_unit_range_but_not_more():
 def test_mermin_value_cases():
     # quantum predictions at the ideal phases
     mermin = mermin_expression()
-    assert expression_value(mermin, (-1.0, 1.0, 1.0, 1.0)) == -4.0
+    assert expression_value(mermin, (1.0, 1.0, 1.0, -1.0)) == -4.0
     assert expression_value(mermin, (0.0, 0.0, 0.0, 0.0)) == 0.0
-    assert expression_value(mermin, (-0.885, 0.885, 0.897, 0.884)) == pytest.approx(-3.551, abs=1e-12)
+    assert expression_value(mermin, (0.885, 0.897, 0.884, -0.885)) == pytest.approx(-3.551, abs=1e-12)
 
 
 def test_forced_product_contradicts_quantum_fourth_correlation():
@@ -258,7 +258,7 @@ _UNIT = st.floats(-1.0, 1.0)
 def test_expression_value_is_the_hand_written_sum_bit_for_bit(e):
     e1, e2, e3, e4 = e
     assert expression_value(chsh_expression(), e).hex() == (e1 + e2 + e3 - e4).hex()
-    assert expression_value(mermin_expression(), e).hex() == (e1 - e2 - e3 - e4).hex()
+    assert expression_value(mermin_expression(), e).hex() == (-e1 - e2 - e3 + e4).hex()
 
 
 def test_expression_value_needs_one_value_per_term():
