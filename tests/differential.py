@@ -47,6 +47,8 @@ INPUTS = {
     "number_out.json": '{"out": 7}\n',
     "run.json": '{"visibility": 0.885, "trials": 4000, "seed": 17}\n',
     "float_trials.json": '{"trials": 1.5}\n',
+    "not_json.json": "visibility = 0.9\n",
+    "list.json": "[0.9]\n",
     # As spreadsheets' "CSV UTF-8" export writes it.
     "bom_exp2.csv": "\ufeff" + (ROOT / "fixtures" / "exp2_reference.csv").read_text("utf-8"),
     # One per replay matcher error.
@@ -153,6 +155,9 @@ def corpus() -> list[tuple[str, list[str], str | None]]:
                                     "--config", "{tmp}/float_trials.json"],
         "config with an explicit flag": ["exp1", "--config", "{tmp}/run.json",
                                          "--trials", "2000"],
+        "config not JSON": ["exp1", "--config", "{tmp}/not_json.json"],
+        "config list": ["exp1", "--config", "{tmp}/list.json"],
+        "config missing file": ["exp1", "--config", "{tmp}/missing.json"],
         "equal phases": ["exp1", "--phi-a", "0.25", "--phi-a-prime", "0.25", "--trials", "100"],
         "replay non-numeric E": ["replay", "{tmp}/non_numeric_e.csv", "--out", "{tmp}/x.json"],
         "replay missing file": ["replay", "{tmp}/missing.csv"],
@@ -173,6 +178,18 @@ def corpus() -> list[tuple[str, list[str], str | None]]:
         "phi-a -1e-3": ["exp1", "--phi-a", "-1e-3", "--trials", "1000"],
         "replay -1.csv": ["replay", "-1.csv"],
         "out into a directory": ["exp2", "--trials", "100", "--out", "{tmp}"],
+        # One per value that a constructor or a study refuses.
+        "efficiency 0": ["exp1", "--efficiency", "0"],
+        "background 1": ["exp1", "--background", "1"],
+        "visibility nan": ["exp2", "--visibility", "nan", "--trials", "10"],
+        "seed -1": ["exp1", "--seed", "-1"],
+        "trials 0": ["exp1", "--trials", "0"],
+        "phi-a nan": ["exp1", "--phi-a", "nan", "--trials", "10"],
+        "sweep 0:1:0": [*scan1, "--sweep", "0:1:0"],
+        "phi-b 1e308": [*scan1, "--phi-b", "1e308"],
+        "exp2 scan phi-c 0": [*scan2, "--phi-c", "0"],
+        "threshold resolution 0.2": ["threshold", "--expression", "chsh",
+                                     "--resolution", "0.2"],
     }
     first = {}  # the first golden argv of each subcommand
     for argv, _ in CASES.values():
