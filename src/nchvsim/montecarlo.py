@@ -71,13 +71,8 @@ class CoincidenceCounts:
         for n in self.counts:
             if isinstance(n, bool) or not isinstance(n, int) or n < 0:
                 raise ValidationError(f"counts must be non-negative integers, got {n!r}")
-        if self.detected > self.trials:
+        if sum(self.counts) > self.trials:
             raise ValidationError("detected events cannot exceed trials")
-
-    @property
-    def detected(self) -> int:
-        """Number of detected events, ``sum(counts)``."""
-        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -96,16 +91,6 @@ class CorrelationEstimate:
         _require_int("sample size", self.n)
         if self.n <= 0:
             raise ValidationError("sample size must be positive")
-
-
-def counting_sigma(value: float, n: int) -> float:
-    """Standard error of a mean of n independent +-1 observations."""
-    if not -1.0 <= value <= 1.0:
-        raise ValidationError(f"a mean of +-1 observations lies in [-1, 1], got {value!r}")
-    _require_int("sample size", n)
-    if n <= 0:
-        raise ValidationError("sample size must be positive")
-    return math.sqrt((1.0 - value * value) / n)
 
 
 def noisy_probabilities(setting: PhaseSetting, noise: NoiseModel) -> tuple[float, ...]:
@@ -167,4 +152,4 @@ def estimate_correlation(counts: CoincidenceCounts) -> CorrelationEstimate:
         raise EstimationError("no A=+1 coincidences recorded; cannot estimate" if analyzers == 3
                               else "no coincidences recorded; cannot estimate")
     value = sum(p * n for p, n in zip(_PRODUCTS[analyzers], recorded)) / used
-    return CorrelationEstimate(value, counting_sigma(value, used), used)
+    return CorrelationEstimate(value, math.sqrt((1.0 - value * value) / used), used)

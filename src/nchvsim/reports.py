@@ -421,12 +421,6 @@ class ReplayRow:
     value: float
     sigma: float
 
-    @property
-    def setting(self) -> PhaseSetting:
-        """The row's phases in radians."""
-        phases = (self.phi_a, self.phi_b, self.phi_c)
-        return PhaseSetting(*(None if phi is None else phi * math.pi for phi in phases))
-
 
 def _parse_phase(text: str, line_number: int, column: str) -> float:
     value = _parse_float(text, line_number, column)
@@ -581,7 +575,10 @@ def replay(path) -> Report:
     experiment = "exp1" if has_c[0] else "exp2"
     config = {"mode": "replay", "experiment": experiment, "source": str(path)}
     test = TESTS[experiment]
-    return _report(config, test, [_row(r.setting, r.value, r.sigma) for r in _match(test, rows)])
+    matched = _match(test, rows)
+    settings = [PhaseSetting(*(None if phi is None else phi * math.pi
+                               for phi in (r.phi_a, r.phi_b, r.phi_c))) for r in matched]
+    return _report(config, test, [_row(s, r.value, r.sigma) for s, r in zip(settings, matched)])
 
 
 def json_text(payload: dict) -> str:

@@ -112,9 +112,6 @@ MUTANTS = [
      "CorrelationEstimate accepts a sample size of 0",
      "tests/test_montecarlo.py::"
      "test_degenerate_estimates_are_rejected[CorrelationEstimate-args8]"),
-    ("montecarlo", "if n <= 0:", "if False:",
-     "counting_sigma divides by a sample size of 0",
-     "tests/test_montecarlo.py::test_degenerate_estimates_are_rejected[counting_sigma-args9]"),
     ("reports", "math.fsum(r.sigma * r.sigma for r in rows)", "math.fsum(r.sigma for r in rows)",
      "the inequality sigma adds the row sigmas instead of their squares",
      "tests/test_acceptance.py::test_criterion_replay_published_values"),

@@ -20,7 +20,6 @@ from nchvsim.montecarlo import (
     CoincidenceCounts,
     CorrelationEstimate,
     NoiseModel,
-    counting_sigma,
     estimate_correlation,
     noisy_probabilities,
     sample_counts,
@@ -88,7 +87,7 @@ def test_noisy_probability_background_mix():
 def test_sample_counts_bright_fringe_exhausts_probability():
     setting = PhaseSetting(HALF_PI, 0.0, 0.0)
     counts = sample_counts(setting, NoiseModel(), trials=100000, seed=2)
-    assert counts.detected == 100000
+    assert sum(counts.counts) == 100000
     dark = sum(n for o, n in zip(TRIPLE_OUTCOMES, counts.counts) if o.product() == -1)
     assert dark == 0
 
@@ -99,7 +98,6 @@ def test_sample_counts_determinism():
     first = sample_counts(setting, noise, trials=20000, seed=99)
     second = sample_counts(setting, noise, trials=20000, seed=99)
     assert first.counts == second.counts
-    assert first.detected == second.detected
     different = sample_counts(setting, noise, trials=20000, seed=100)
     assert different.counts != first.counts
 
@@ -107,9 +105,9 @@ def test_sample_counts_determinism():
 def test_sample_counts_efficiency_thinning():
     setting = PhaseSetting(0.3, 0.1, -0.4)
     counts = sample_counts(setting, NoiseModel(efficiency=0.08), trials=1_000_000, seed=5)
-    assert counts.detected <= counts.trials
+    assert sum(counts.counts) <= counts.trials
     # binomial mean 80000, sd ~271; allow 3 sigma
-    assert abs(counts.detected - 80000) <= 814
+    assert abs(sum(counts.counts) - 80000) <= 814
 
 
 def test_sample_counts_validation():
@@ -119,7 +117,7 @@ def test_sample_counts_validation():
 
 
 def test_counts_consistency_validation():
-    assert make_counts(PhaseSetting(0.0, 0.0, 0.0), {Outcome(+1, +1, -1): 3}).detected == 3
+    assert sum(make_counts(PhaseSetting(0.0, 0.0, 0.0), {Outcome(+1, +1, -1): 3}).counts) == 3
     with pytest.raises(ValidationError, match="cannot exceed trials"):
         CoincidenceCounts(PhaseSetting(0.0, 0.0, 0.0), (3, 0, 0, 0, 0, 0, 0, 0), trials=2)
     with pytest.raises(ValidationError, match="trials must be positive"):
@@ -254,14 +252,14 @@ def test_estimator_consistency_large_sample():
             counts = sample_counts(setting, noise, trials=1_000_000, seed=int(rng.integers(1 << 30)))
             est = estimate_correlation(counts)
             expected = visibility * math.sin(setting.phase_sum())
-            margin = 4.0 * counting_sigma(expected, est.n)
+            margin = 4.0 * math.sqrt((1.0 - expected * expected) / est.n)
             assert abs(est.value - expected) <= margin
 
             pair = PhaseSetting(phases[0], phases[1])
             counts2 = sample_counts(pair, noise, trials=200_000, seed=int(rng.integers(1 << 30)))
             est2 = estimate_correlation(counts2)
             expected2 = visibility * math.sin(pair.phase_sum())
-            margin2 = 4.0 * counting_sigma(expected2, est2.n)
+            margin2 = 4.0 * math.sqrt((1.0 - expected2 * expected2) / est2.n)
             assert abs(est2.value - expected2) <= margin2
 
 
@@ -292,32 +290,36 @@ def test_error_calibration_against_declared_sigma():
     assert spread == pytest.approx(declared, rel=0.20)
 
 
+# The ids are the ones these cases had while a second function that
+# computed sigma from a value and a sample size was tested here too.
 @pytest.mark.parametrize(
-    "make, args",
+    "args",
     [
-        (CorrelationEstimate, (0.5, math.nan, 10)),
-        (CorrelationEstimate, (0.5, math.inf, 10)),
-        (CorrelationEstimate, (0.5, 0.1, 2.5)),
-        (CorrelationEstimate, (0.5, 0.1, True)),
-        (counting_sigma, (math.nan, 10)),  # used to give a sigma of 0.0
-        (counting_sigma, (2.0, 10)),  # likewise
-        (counting_sigma, (0.5, 2.5)),
-        (CorrelationEstimate, (1.5, 0.1, 10)),
-        (CorrelationEstimate, (0.5, 0.1, 0)),
-        (counting_sigma, (0.5, 0)),
+        pytest.param((0.5, math.nan, 10), id="CorrelationEstimate-args0"),
+        pytest.param((0.5, math.inf, 10), id="CorrelationEstimate-args1"),
+        pytest.param((0.5, 0.1, 2.5), id="CorrelationEstimate-args2"),
+        pytest.param((0.5, 0.1, True), id="CorrelationEstimate-args3"),
+        pytest.param((1.5, 0.1, 10), id="CorrelationEstimate-args7"),
+        pytest.param((0.5, 0.1, 0), id="CorrelationEstimate-args8"),
     ],
 )
-def test_degenerate_estimates_are_rejected(make, args):
+def test_degenerate_estimates_are_rejected(args):
     with pytest.raises(ValidationError):
-        make(*args)
+        CorrelationEstimate(*args)
 
 
 def test_counting_sigma_formula():
-    assert counting_sigma(0.0, 100) == pytest.approx(0.1, abs=1e-15)
-    assert counting_sigma(1.0, 100) == 0.0
-    assert counting_sigma(0.885, 5000) == pytest.approx(
-        math.sqrt((1.0 - 0.885**2) / 5000.0), abs=1e-15
-    )
+    """The estimate's sigma is sqrt((1 - E**2) / n), the standard error of
+    a mean of n +-1 observations."""
+    pair = PhaseSetting(0.0, 0.0)
+    balanced = estimate_correlation(make_counts(pair, {Outcome(+1, +1): 50, Outcome(+1, -1): 50}))
+    assert (balanced.value, balanced.n) == (0.0, 100)
+    assert balanced.sigma == pytest.approx(0.1, abs=1e-15)
+    assert estimate_correlation(make_counts(pair, {Outcome(-1, +1): 100})).sigma == 0.0
+    mostly = estimate_correlation(
+        make_counts(pair, {Outcome(+1, +1): 1885, Outcome(+1, -1): 115}))
+    assert (mostly.value, mostly.n) == (0.885, 2000)
+    assert mostly.sigma == pytest.approx(math.sqrt((1.0 - 0.885**2) / 2000.0), abs=1e-15)
 
 
 def _closed_form_noisy_probability(outcome, setting, noise):
@@ -379,7 +381,8 @@ def _reference_estimate(counts, a_values):
             weighted += outcome.product() * n
     if used == 0:
         return None
-    return (weighted / used).hex(), counting_sigma(weighted / used, used).hex(), used
+    value = weighted / used
+    return value.hex(), math.sqrt((1.0 - value * value) / used).hex(), used
 
 
 _COUNT = st.one_of(st.just(0), st.integers(0, 5), st.integers(0, 10**12))
@@ -417,7 +420,7 @@ def test_sample_counts_equals_binary_search_route(
     counts = sample_counts(setting, noise, trials, seed)
     histogram, detected = _binary_search_counts(setting, noise, trials, seed)
     assert list(counts.counts) == histogram
-    assert counts.detected == detected
+    assert sum(counts.counts) == detected
     try:
         estimate = estimate_correlation(counts)
     except EstimationError:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from nchvsim.errors import EstimationError, FixtureParseError, ValidationError
 from nchvsim.experiment import PhaseSetting, correlation_qm2, correlation_qm3
-from nchvsim.montecarlo import NoiseModel, counting_sigma
+from nchvsim.montecarlo import NoiseModel
 from nchvsim.nchv import (
     PhaseGrid,
     chsh_expression,
@@ -866,7 +866,7 @@ def test_replay_of_arbitrary_bytes_reports_or_raises_parse_error(tmp_path_factor
 def test_simulated_significance_needs_exactly_five_events_of_each_sign(value, assessed):
     """n = 10 at E = 0 gives 5 events of each sign, the least that is
     assessed; E = 0.2 leaves 4 of the rarer sign."""
-    row = _row(PhaseSetting(0.0, 0.0), value, counting_sigma(value, 10), 10, 0.0)
+    row = _row(PhaseSetting(0.0, 0.0), value, math.sqrt((1.0 - value * value) / 10), 10, 0.0)
     report = _report({}, TESTS["exp2"], [row] * 4)
     assert (report.derived["significance"] is not None) is assessed
     assert ("not assessed" not in report.verdict["summary"]) is assessed
