@@ -27,6 +27,11 @@ from .experiment import OUTCOMES, PhaseSetting
 # The outcome product A*B(*C) of each channel, in OUTCOMES order.
 _PRODUCTS = {k: tuple(o.product() for o in outcomes) for k, outcomes in OUTCOMES.items()}
 
+# Most trials sample_counts takes at one setting.  Its draws hold 8 bytes per
+# detected event; at unit efficiency the ceiling is ~0.9 GB and ~1.2 s (see
+# README, "Limits").
+MAX_TRIALS = 10**8
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -122,6 +127,8 @@ def sample_counts(
     _require_int("trials", trials)
     if trials <= 0:
         raise ValidationError(f"trials must be positive, got {trials!r}")
+    if trials > MAX_TRIALS:
+        raise ValidationError(f"trials must be at most {MAX_TRIALS}, got {trials!r}")
     # Cumulative sums of non-negative probabilities, added in np.cumsum's
     # order.  Every draw is below 1, so the top edge is never needed.
     edges = list(accumulate(noisy_probabilities(setting, noise)))

@@ -47,6 +47,10 @@ _HALF = 0.5  # inequality settings in units of pi: 0 and pi/2
 # and the grid search would walk them one at a time.
 MIN_RESOLUTION = 1e-12
 
+# Most settings one scan samples, ~0.5 GB and ~1 min at 10 trials each (see
+# README, "Limits").
+MAX_SCAN_SETTINGS = 10**6
+
 
 @dataclass(frozen=True)
 class InequalityTest:
@@ -221,8 +225,13 @@ def scan_phase(config: RunConfig) -> list[ScanRow]:
     if config.experiment == "exp2" and config.phi_c_values:
         raise ValidationError("exp2 scans carry no phi_c values")
     start, stop, steps = config.sweep
-    sweep_values = [float(x) for x in np.linspace(start, stop, steps)]
     fixed = [(b, c) for b in config.phi_b_values for c in config.phi_c_values or (None,)]
+    if steps * len(fixed) > MAX_SCAN_SETTINGS:
+        raise ValidationError(
+            f"a scan samples at most {MAX_SCAN_SETTINGS} settings, got {steps} sweep steps "
+            f"x {len(fixed)} fixed phase combinations"
+        )
+    sweep_values = [float(x) for x in np.linspace(start, stop, steps)]
     settings = [PhaseSetting(phi_a, b, c) for (b, c) in fixed for phi_a in sweep_values]
     return _simulate(config, settings)
 

@@ -190,6 +190,10 @@ def corpus() -> list[tuple[str, list[str], str | None]]:
         "exp2 scan phi-c 0": [*scan2, "--phi-c", "0"],
         "threshold resolution 0.2": ["threshold", "--expression", "chsh",
                                      "--resolution", "0.2"],
+        # Refused by the trial and scan-settings ceilings, before numpy sees them.
+        "trials 31 digits": ["exp2", "--trials", "1234567890123456789012345678901",
+                             "--seed", "1"],
+        "sweep of 31-digit steps": [*scan2, "--sweep", "-1:1:1234567890123456789012345678901"],
     }
     first = {}  # the first golden argv of each subcommand
     for argv, _ in CASES.values():

@@ -143,6 +143,13 @@ MUTANTS = [
     ("nchv", "np.abs(acc[1:], out=acc[1:])", "acc[1:]",
      "a free phase no longer takes the sign that makes its terms' sum positive",
      "tests/test_classical_bound.py::test_classical_bound_equals_brute_force"),
+    ("montecarlo", "if trials > MAX_TRIALS:", "if trials >= MAX_TRIALS:",
+     "sample_counts refuses a run of exactly MAX_TRIALS trials",
+     "tests/test_cli.py::test_trial_ceiling_is_the_largest_accepted_count[at-ceiling]"),
+    ("reports", "if steps * len(fixed) > MAX_SCAN_SETTINGS:",
+     "if steps * len(fixed) >= MAX_SCAN_SETTINGS:",
+     "scan_phase refuses a scan of exactly MAX_SCAN_SETTINGS settings",
+     "tests/test_cli.py::test_scan_settings_ceiling_is_the_largest_accepted_scan[at-ceiling]"),
 ]
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from nchvsim import cli
+from nchvsim import cli, reports
+from nchvsim.montecarlo import MAX_TRIALS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -132,6 +133,29 @@ def _main(argv, capsys):
 
 _SCAN2 = ("scan", "--experiment", "exp2", "--trials", "10", "--seed", "1")
 _SCAN1 = ("scan", "--experiment", "exp1", "--trials", "10", "--seed", "1")
+
+
+@pytest.mark.parametrize("trials, code", [(MAX_TRIALS, 0), (MAX_TRIALS + 1, 2)],
+                         ids=["at-ceiling", "above-ceiling"])
+def test_trial_ceiling_is_the_largest_accepted_count(capsys, trials, code):
+    # At efficiency 1e-6 a run at the ceiling samples ~100 events per setting.
+    assert cli.main(["exp2", "--trials", str(trials), "--efficiency", "1e-6"]) == code
+    if code:
+        assert capsys.readouterr().err == (
+            f"error: trials must be at most {MAX_TRIALS}, got {trials}\n")
+
+
+@pytest.mark.parametrize("phi_b, steps, code", [
+    ("0,0.5", 3, 0),
+    ("0", 7, 2),
+    ("0,0.5", 4, 2),
+], ids=["at-ceiling", "above-ceiling", "above-ceiling-by-the-fixed-phases"])
+def test_scan_settings_ceiling_is_the_largest_accepted_scan(capsys, monkeypatch,
+                                                            phi_b, steps, code):
+    monkeypatch.setattr(reports, "MAX_SCAN_SETTINGS", 6)
+    assert cli.main([*_SCAN2, "--phi-b", phi_b, "--sweep", f"-1:1:{steps}"]) == code
+    if code:
+        assert capsys.readouterr().err.startswith("error: a scan samples at most 6 settings")
 
 
 @pytest.mark.parametrize("argv, flag, given, value", [

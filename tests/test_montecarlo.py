@@ -17,6 +17,7 @@ from nchvsim.experiment import (
     joint_probability_eventready_closed_form,
 )
 from nchvsim.montecarlo import (
+    MAX_TRIALS,
     CoincidenceCounts,
     CorrelationEstimate,
     NoiseModel,
@@ -111,7 +112,7 @@ def test_sample_counts_efficiency_thinning():
 
 
 def test_sample_counts_validation():
-    for trials in (0, 2.5, 3.0, True, "10"):
+    for trials in (0, 2.5, 3.0, True, "10", MAX_TRIALS + 1, 10**31):
         with pytest.raises(ValidationError):
             sample_counts(PhaseSetting(0.0, 0.0, 0.0), NoiseModel(), trials=trials, seed=1)
 
