@@ -1,10 +1,12 @@
 """Byte-for-byte CLI outputs pinned in ``tests/golden``.
 
-Each case runs ``python -m nchvsim.cli`` from the repository root (replay
-reports echo the relative ``fixtures/...`` path as their source) and
-compares stdout and, where the case writes one, the ``--out`` file with the
-stored bytes.  The stored files were produced by the same commands; they
-are not regenerated when the code changes.
+Each case runs the CLI from the repository root (replay reports echo the
+relative ``fixtures/...`` path as their source) and compares stdout and,
+where the case writes one, the ``--out`` file with the stored bytes.  The
+tests start the CLI as ``python -m nchvsim.cli``; ``golden_mismatch``
+takes any command, such as the installed ``nchvsim`` script.  The stored
+files were produced by the same commands; they are not regenerated when
+the code changes.
 """
 
 import subprocess
@@ -48,28 +50,39 @@ CASES = {
 }
 
 
-def run_case(name, out_dir):
-    """Run one case; returns (stdout bytes, --out bytes or None)."""
+CLI = (sys.executable, "-m", "nchvsim.cli")
+
+
+def run_case(name, out_dir, command=CLI):
+    """Run one case with ``command``, the argv that starts the CLI; returns
+    the exit code, stdout and stderr bytes, and the --out bytes (None if
+    the case writes no file or the file is missing)."""
     argv, suffix = CASES[name]
     out = None if suffix is None else out_dir / f"{name}{suffix}"
     extra = [] if out is None else ["--out", str(out)]
-    result = subprocess.run(
-        [sys.executable, "-m", "nchvsim.cli", *argv, *extra],
-        capture_output=True,
-        cwd=ROOT,
-    )
-    assert result.returncode == 0, result.stderr.decode()
-    assert result.stderr == b""
-    return result.stdout, None if out is None else out.read_bytes()
+    result = subprocess.run([*command, *argv, *extra], capture_output=True, cwd=ROOT)
+    written = out.read_bytes() if out is not None and out.exists() else None
+    return result.returncode, result.stdout, result.stderr, written
+
+
+def golden_mismatch(name, out_dir, command=CLI):
+    """None if case ``name``, started by ``command``, exits 0 with nothing
+    on stderr and writes the golden stdout and --out bytes; else what
+    differs."""
+    code, stdout, stderr, written = run_case(name, out_dir, command)
+    if code != 0 or stderr:
+        return f"exit {code}, stderr {stderr.decode(errors='replace')!r}"
+    if stdout != (GOLDEN / f"{name}.stdout").read_bytes():
+        return "stdout differs from the golden bytes"
+    suffix = CASES[name][1]
+    if suffix is not None and written != (GOLDEN / f"{name}{suffix}").read_bytes():
+        return "--out file differs from the golden bytes"
+    return None
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden_bytes(tmp_path, name):
-    stdout, written = run_case(name, tmp_path)
-    assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
-    suffix = CASES[name][1]
-    if suffix is not None:
-        assert written == (GOLDEN / f"{name}{suffix}").read_bytes()
+    assert golden_mismatch(name, tmp_path) is None
 
 
 # The first child seed of the exp1 golden (seed 3, 4 settings) and of the
@@ -104,7 +117,8 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
         for case in sorted(CASES):
-            stdout, written = run_case(case, Path(scratch))
+            code, stdout, stderr, written = run_case(case, Path(scratch))
+            assert code == 0 and stderr == b"", stderr.decode()
             (GOLDEN / f"{case}.stdout").write_bytes(stdout)
             if written is not None:
                 (GOLDEN / f"{case}{CASES[case][1]}").write_bytes(written)
