@@ -38,19 +38,12 @@ COMPUTATION_EXIT = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad usage; this package reserves 2
-    for computation errors, so usage failures are remapped to 1."""
-
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse's own pattern takes -1:1:25, -0.5,0.5 and -1e-3 for flags;
         # no flag here starts like a negative number, so every such token is a
         # value.  Subparsers are built from type(self) and inherit this.
         self._negative_number_matcher = re.compile(r"^-\.?\d")
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
 def _phase_list(text: str) -> tuple[float, ...]:
@@ -266,21 +259,26 @@ def _run_threshold(args) -> tuple[str | None, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand.  Its handler returns the ``--out`` text (None
-    without ``--out``) and the stdout text, and only this function writes
-    them, so a failed write exits 2 like a failed computation."""
+    """Run one subcommand and return its exit status; nothing here exits
+    the process.  Its handler returns the ``--out`` text (None without
+    ``--out``) and the stdout text, and only this function writes them, so
+    a failed write exits 2 like a failed computation."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None) is not None:
-        # Parse the subcommand's tokens again onto the config values: argparse
-        # fills in only the defaults a namespace lacks, so explicit flags win.
-        # The subparser is called directly because the top-level parse would
-        # start it from a fresh namespace.
-        target = subparsers[args.command]
-        defaults = _config_defaults(parser, target, args.command, args.config)
-        namespace = argparse.Namespace(command=args.command, **defaults)
-        args = target.parse_args(argv[argv.index(args.command) + 1:], namespace)
+    try:
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None) is not None:
+            # Parse the subcommand's tokens again onto the config values:
+            # argparse fills in only the defaults a namespace lacks, so
+            # explicit flags win.  The subparser is called directly because
+            # the top-level parse would start it from a fresh namespace.
+            target = subparsers[args.command]
+            defaults = _config_defaults(parser, target, args.command, args.config)
+            namespace = argparse.Namespace(command=args.command, **defaults)
+            args = target.parse_args(argv[argv.index(args.command) + 1:], namespace)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on bad usage, which is 1 here.
+        return USAGE_EXIT if exc.code else 0
     try:
         file_text, stdout_text = args.run(args)
         if file_text is not None:

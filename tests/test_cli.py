@@ -1,7 +1,7 @@
+import contextlib
+import io
 import json
 import math
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -12,13 +12,13 @@ from nchvsim.montecarlo import MAX_TRIALS
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "nchvsim.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
+def run_cli(*argv):
+    """Exit code, stdout and stderr of one in-process ``cli.main`` call.
+    Nothing is caught, so an exception fails the test with its traceback."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(list(argv))
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 @pytest.mark.parametrize("experiment, phi_a, phi_a_prime",
@@ -38,10 +38,8 @@ def test_scan_writes_deterministic_csv(tmp_path):
         "scan", "--experiment", "exp1", "--trials", "2000", "--seed", "9",
         "--sweep", "-1:1:7", "--phi-b", "0,0.5", "--phi-c", "0",
     )
-    first = run_cli(*args, "--out", str(tmp_path / "a.csv"))
-    second = run_cli(*args, "--out", str(tmp_path / "b.csv"))
-    assert first.returncode == 0
-    assert second.returncode == 0
+    assert run_cli(*args, "--out", str(tmp_path / "a.csv"))[0] == 0
+    assert run_cli(*args, "--out", str(tmp_path / "b.csv"))[0] == 0
     a = (tmp_path / "a.csv").read_bytes()
     assert a == (tmp_path / "b.csv").read_bytes()
     assert a.startswith(b"phi_a,phi_b,phi_c,E_est,sigma,N_detected,E_analytic\n")
@@ -51,23 +49,23 @@ def test_scan_writes_deterministic_csv(tmp_path):
 
 
 def test_scan_to_stdout():
-    result = run_cli(
+    code, out, _ = run_cli(
         "scan", "--experiment", "exp2", "--trials", "500", "--sweep", "0:0.5:3"
     )
-    assert result.returncode == 0
-    lines = result.stdout.strip().splitlines()
+    assert code == 0
+    lines = out.strip().splitlines()
     assert lines[0] == "phi_a,phi_b,phi_c,E_est,sigma,N_detected,E_analytic"
     assert len(lines) == 4
 
 
 def test_exp1_report_roundtrip(tmp_path):
     out = tmp_path / "report.json"
-    result = run_cli(
+    code, stdout, _ = run_cli(
         "exp1", "--visibility", "0.885", "--trials", "10000", "--seed", "3",
         "--out", str(out),
     )
-    assert result.returncode == 0
-    assert "verdict:" in result.stdout
+    assert code == 0
+    assert "verdict:" in stdout
     payload = json.loads(out.read_text())
     assert payload["config"]["visibility"] == 0.885
     assert payload["derived"]["classical_bound"] == 2.0
@@ -76,21 +74,21 @@ def test_exp1_report_roundtrip(tmp_path):
         "exp1", "--visibility", "0.885", "--trials", "10000", "--seed", "3",
         "--out", str(tmp_path / "again.json"),
     )
-    assert rerun.returncode == 0
+    assert rerun[0] == 0
     assert out.read_bytes() == (tmp_path / "again.json").read_bytes()
 
 
 def test_exp2_report_runs():
-    result = run_cli("exp2", "--visibility", "0.92", "--trials", "5000")
-    assert result.returncode == 0
-    assert "event-ready" in result.stdout
+    code, out, _ = run_cli("exp2", "--visibility", "0.92", "--trials", "5000")
+    assert code == 0
+    assert "event-ready" in out
 
 
 def test_replay_exp1_fixture(tmp_path):
     out = tmp_path / "replay.json"
-    result = run_cli("replay", str(FIXTURES / "exp1_reference.csv"), "--out", str(out))
-    assert result.returncode == 0
-    assert "0.666" in result.stdout
+    code, stdout, _ = run_cli("replay", str(FIXTURES / "exp1_reference.csv"), "--out", str(out))
+    assert code == 0
+    assert "0.666" in stdout
     payload = json.loads(out.read_text())
     assert "seed" not in payload["config"]
     assert payload["derived"]["nchv_lower_bound_sigma"] < 0.009
@@ -99,36 +97,26 @@ def test_replay_exp1_fixture(tmp_path):
 def test_replay_malformed_fixture_exits_2(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("phi_a,phi_b,phi_c,E,sigma\n0.46,0,0,not-a-number,0.005\n")
-    result = run_cli("replay", str(bad))
-    assert result.returncode == 2
-    assert "line 2" in result.stderr
+    code, _, err = run_cli("replay", str(bad))
+    assert code == 2
+    assert "line 2" in err
 
 
 def test_replay_missing_file_exits_2():
-    result = run_cli("replay", "/nonexistent/values.csv")
-    assert result.returncode == 2
+    assert run_cli("replay", "/nonexistent/values.csv")[0] == 2
 
 
 def test_usage_errors_exit_1():
-    assert run_cli("bogus").returncode == 1
-    assert run_cli("scan").returncode == 1  # --experiment is required
-    assert run_cli("exp1", "--trials", "not-a-number").returncode == 1
+    assert run_cli("bogus")[0] == 1
+    assert run_cli("scan")[0] == 1  # --experiment is required
+    assert run_cli("exp1", "--trials", "not-a-number")[0] == 1
 
 
 def test_validation_errors_exit_2():
-    assert run_cli("exp1", "--visibility", "1.5").returncode == 2
+    assert run_cli("exp1", "--visibility", "1.5")[0] == 2
     assert run_cli(
         "scan", "--experiment", "exp2", "--phi-c", "0", "--sweep", "0:1:2"
-    ).returncode == 2
-
-
-def _main(argv, capsys):
-    """Exit code and stdout of an in-process cli.main call."""
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    return code, capsys.readouterr().out
+    )[0] == 2
 
 
 _SCAN2 = ("scan", "--experiment", "exp2", "--trials", "10", "--seed", "1")
@@ -137,12 +125,12 @@ _SCAN1 = ("scan", "--experiment", "exp1", "--trials", "10", "--seed", "1")
 
 @pytest.mark.parametrize("trials, code", [(MAX_TRIALS, 0), (MAX_TRIALS + 1, 2)],
                          ids=["at-ceiling", "above-ceiling"])
-def test_trial_ceiling_is_the_largest_accepted_count(capsys, trials, code):
+def test_trial_ceiling_is_the_largest_accepted_count(trials, code):
     # At efficiency 1e-6 a run at the ceiling samples ~100 events per setting.
-    assert cli.main(["exp2", "--trials", str(trials), "--efficiency", "1e-6"]) == code
+    status, _, err = run_cli("exp2", "--trials", str(trials), "--efficiency", "1e-6")
+    assert status == code
     if code:
-        assert capsys.readouterr().err == (
-            f"error: trials must be at most {MAX_TRIALS}, got {trials}\n")
+        assert err == f"error: trials must be at most {MAX_TRIALS}, got {trials}\n"
 
 
 @pytest.mark.parametrize("phi_b, steps, code", [
@@ -150,12 +138,12 @@ def test_trial_ceiling_is_the_largest_accepted_count(capsys, trials, code):
     ("0", 7, 2),
     ("0,0.5", 4, 2),
 ], ids=["at-ceiling", "above-ceiling", "above-ceiling-by-the-fixed-phases"])
-def test_scan_settings_ceiling_is_the_largest_accepted_scan(capsys, monkeypatch,
-                                                            phi_b, steps, code):
+def test_scan_settings_ceiling_is_the_largest_accepted_scan(monkeypatch, phi_b, steps, code):
     monkeypatch.setattr(reports, "MAX_SCAN_SETTINGS", 6)
-    assert cli.main([*_SCAN2, "--phi-b", phi_b, "--sweep", f"-1:1:{steps}"]) == code
+    status, _, err = run_cli(*_SCAN2, "--phi-b", phi_b, "--sweep", f"-1:1:{steps}")
+    assert status == code
     if code:
-        assert capsys.readouterr().err.startswith("error: a scan samples at most 6 settings")
+        assert err.startswith("error: a scan samples at most 6 settings")
 
 
 @pytest.mark.parametrize("argv, flag, given, value", [
@@ -164,27 +152,25 @@ def test_scan_settings_ceiling_is_the_largest_accepted_scan(capsys, monkeypatch,
     (_SCAN1, "--phi-b", "--phi-b", "-0.5,0.5"),
     (_SCAN1, "--phi-c", "--phi-c", "-0.5"),
 ], ids=["swe", "sweep", "phi-b", "phi-c"])
-def test_value_starting_with_minus_may_follow_a_space(capsys, argv, flag, given, value):
+def test_value_starting_with_minus_may_follow_a_space(argv, flag, given, value):
     # argparse reads such a value after any unambiguous abbreviation
-    spaced = _main([*argv, given, value], capsys)
-    joined = _main([*argv, f"{flag}={value}"], capsys)
+    spaced = run_cli(*argv, given, value)
+    joined = run_cli(*argv, f"{flag}={value}")
     assert spaced == joined
     assert spaced[0] == 0
 
 
 def test_tokens_that_start_like_negative_numbers_are_values():
-    visibility = run_cli("exp1", "--visibility", "-1e-3")
-    assert visibility.returncode == 2
-    assert visibility.stderr == "error: visibility must be in [0, 1], got -0.001\n"
-    trials = run_cli("exp1", "--trials", "-1e3")
-    assert trials.returncode == 1
-    assert "argument --trials: invalid int value: '-1e3'" in trials.stderr
-    phase = run_cli("exp1", "--phi-a", "-1e-3", "--trials", "1000")
-    assert phase.returncode == 0, phase.stderr
+    assert run_cli("exp1", "--visibility", "-1e-3") == (
+        2, "", "error: visibility must be in [0, 1], got -0.001\n")
+    code, _, err = run_cli("exp1", "--trials", "-1e3")
+    assert code == 1
+    assert "argument --trials: invalid int value: '-1e3'" in err
+    code, _, err = run_cli("exp1", "--phi-a", "-1e-3", "--trials", "1000")
+    assert code == 0, err
     # a positional that starts like a negative number is read as given
-    path = run_cli("replay", "-1.csv")
-    assert path.returncode == 2
-    assert path.stderr == "error: [Errno 2] No such file or directory: '-1.csv'\n"
+    assert run_cli("replay", "-1.csv") == (
+        2, "", "error: [Errno 2] No such file or directory: '-1.csv'\n")
 
 
 @pytest.mark.parametrize("argv, contents, message", [
@@ -204,15 +190,13 @@ def test_tokens_that_start_like_negative_numbers_are_values():
      "nchvsim: error: config file must hold a JSON object"),
 ], ids=["phase-list", "sweep-parts", "sweep-number", "config-empty", "config-unreadable",
         "config-not-json", "config-list"])
-def test_usage_error_exits_1_with_its_own_message(tmp_path, capsys, argv, contents, message):
+def test_usage_error_exits_1_with_its_own_message(tmp_path, argv, contents, message):
     config = tmp_path / "run.json"
     if contents is not None:
         config.write_text(contents)
-    argv = [token.replace("{config}", str(config)) for token in argv]
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(argv)
-    assert exit_info.value.code == 1
-    assert capsys.readouterr().err.splitlines()[-1] == message.replace("{config}", str(config))
+    code, _, err = run_cli(*(token.replace("{config}", str(config)) for token in argv))
+    assert code == 1
+    assert err.splitlines()[-1] == message.replace("{config}", str(config))
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -222,27 +206,22 @@ def test_usage_error_exits_1_with_its_own_message(tmp_path, capsys, argv, conten
      "error: no coincidences recorded; cannot estimate\n"),
 ])
 def test_estimator_without_usable_events_exits_2(argv, message):
-    result = run_cli(*argv)
-    assert result.returncode == 2
-    assert result.stderr == message
+    assert run_cli(*argv) == (2, "", message)
 
 
 @pytest.mark.parametrize("experiment", ["exp1", "exp2"])
 def test_equal_beam_splitter_phases_exit_2_naming_both(experiment):
-    result = run_cli(experiment, "--phi-a", "0.25", "--phi-a-prime", "0.25", "--trials", "100")
-    assert result.returncode == 2
-    assert result.stderr == (
-        "error: phi_a and phi_a_prime must be two different beam-splitter phases\n"
+    assert run_cli(experiment, "--phi-a", "0.25", "--phi-a-prime", "0.25", "--trials", "100") == (
+        2, "", "error: phi_a and phi_a_prime must be two different beam-splitter phases\n"
     )
 
 
 @pytest.mark.parametrize("resolution", ["1e-25", "5e-324"])
 def test_threshold_below_finest_resolution_exits_2(resolution):
     # 1e-25 used to hang and 5e-324 to end in an OverflowError traceback
-    result = run_cli("threshold", "--expression", "chsh", "--resolution", resolution)
-    assert result.returncode == 2
-    assert result.stderr.startswith("error: resolution must be in [1e-12, 0.1]")
-    assert "Traceback" not in result.stderr
+    code, _, err = run_cli("threshold", "--expression", "chsh", "--resolution", resolution)
+    assert code == 2
+    assert err.startswith("error: resolution must be in [1e-12, 0.1]")
 
 
 @pytest.mark.parametrize("argv", [
@@ -254,58 +233,57 @@ def test_threshold_below_finest_resolution_exits_2(resolution):
     ("replay", str(FIXTURES / "exp2_reference.csv")),
 ], ids=lambda argv: argv[0])
 def test_unwritable_out_exits_2_with_one_error_line(tmp_path, argv):
-    result = run_cli(*argv, "--out", str(tmp_path / "missing" / "x"))
-    assert result.returncode == 2
-    assert result.stdout == ""
-    assert result.stderr.startswith("error: ")
-    assert result.stderr.count("\n") == 1
-    assert "Traceback" not in result.stderr
+    code, out, err = run_cli(*argv, "--out", str(tmp_path / "missing" / "x"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_threshold_subcommand(tmp_path):
     out = tmp_path / "threshold.json"
-    result = run_cli("threshold", "--expression", "chsh", "--out", str(out))
-    assert result.returncode == 0
-    assert "0.7072" in result.stdout
+    code, stdout, _ = run_cli("threshold", "--expression", "chsh", "--out", str(out))
+    assert code == 0
+    assert "0.7072" in stdout
     payload = json.loads(out.read_text())
     assert payload["threshold_visibility"] == 0.7072
 
 
 def test_nchv_bound_subcommand():
-    result = run_cli("nchv-bound", "--expression", "mermin")
-    assert result.returncode == 0
-    assert "classical bound 2" in result.stdout
-    assert "64 assignments" in result.stdout
+    code, out, _ = run_cli("nchv-bound", "--expression", "mermin")
+    assert code == 0
+    assert "classical bound 2" in out
+    assert "64 assignments" in out
 
 
 def test_config_file_supplies_defaults(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"visibility": 0.885, "trials": 4000, "seed": 17}))
-    result = run_cli("exp1", "--config", str(config))
-    assert result.returncode == 0
-    assert "visibility=0.885" in result.stdout
-    assert "trials=4000" in result.stdout
+    code, out, _ = run_cli("exp1", "--config", str(config))
+    assert code == 0
+    assert "visibility=0.885" in out
+    assert "trials=4000" in out
     # explicit flags still win over config values
-    override = run_cli("exp1", "--config", str(config), "--trials", "2000")
-    assert override.returncode == 0
-    assert "trials=2000" in override.stdout
+    code, out, _ = run_cli("exp1", "--config", str(config), "--trials", "2000")
+    assert code == 0
+    assert "trials=2000" in out
 
 
 def test_config_flag_may_be_abbreviated(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"visibility": 0.885, "trials": 4000, "seed": 17}))
-    result = run_cli("exp1", "--conf", str(config))
-    assert result.returncode == 0
-    assert "visibility=0.885 efficiency=1 background=0 trials=4000 seed=17" in result.stdout
+    code, out, _ = run_cli("exp1", "--conf", str(config))
+    assert code == 0
+    assert "visibility=0.885 efficiency=1 background=0 trials=4000 seed=17" in out
 
 
 def test_last_config_flag_wins(tmp_path):
     first, last = tmp_path / "first.json", tmp_path / "last.json"
     first.write_text(json.dumps({"trials": 4000}))
     last.write_text(json.dumps({"trials": 3000}))
-    result = run_cli("exp1", "--config", str(first), "--config", str(last))
-    assert result.returncode == 0
-    assert "trials=3000" in result.stdout
+    code, out, _ = run_cli("exp1", "--config", str(first), "--config", str(last))
+    assert code == 0
+    assert "trials=3000" in out
 
 
 @pytest.mark.parametrize("argv", [
@@ -315,34 +293,34 @@ def test_last_config_flag_wins(tmp_path):
 ], ids=["replay", "nchv-bound", "threshold"])
 def test_config_is_not_a_flag_of_the_other_subcommands(tmp_path, argv):
     missing = tmp_path / "missing.json"
-    result = run_cli(*argv, "--config", str(missing))
-    assert result.returncode == 1
-    assert f"error: unrecognized arguments: --config {missing}" in result.stderr
-    assert "cannot read config file" not in result.stderr
+    code, _, err = run_cli(*argv, "--config", str(missing))
+    assert code == 1
+    assert f"error: unrecognized arguments: --config {missing}" in err
+    assert "cannot read config file" not in err
 
 
 def test_bad_explicit_flag_is_reported_before_a_bad_config_file(tmp_path):
     config = tmp_path / "bad.json"
     config.write_text("{not json")
-    result = run_cli("exp1", "--trials", "x", "--config", str(config))
-    assert result.returncode == 1
-    assert "error: argument --trials: invalid int value: 'x'" in result.stderr
-    assert "bad config file" not in result.stderr
+    code, _, err = run_cli("exp1", "--trials", "x", "--config", str(config))
+    assert code == 1
+    assert "error: argument --trials: invalid int value: 'x'" in err
+    assert "bad config file" not in err
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"no-such-flag": 1}))
-    assert run_cli("exp1", "--config", str(config)).returncode == 1
+    assert run_cli("exp1", "--config", str(config))[0] == 1
 
 
 @pytest.mark.parametrize("key", ["config", "help"])
 def test_config_file_may_not_set_config_or_help(tmp_path, key):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({key: "x.json"}))
-    result = run_cli("exp2", "--config", str(config))
-    assert result.returncode == 1
-    assert f"error: config key '{key}' is not a flag of 'exp2'" in result.stderr
+    code, _, err = run_cli("exp2", "--config", str(config))
+    assert code == 1
+    assert f"error: config key '{key}' is not a flag of 'exp2'" in err
 
 
 @pytest.mark.parametrize(
@@ -359,10 +337,9 @@ def test_config_file_may_not_set_config_or_help(tmp_path, key):
 def test_config_values_pass_the_flags_own_type_checks(tmp_path, values, key):
     config = tmp_path / "run.json"
     config.write_text(json.dumps(values))
-    result = run_cli("exp2", "--config", str(config))
-    assert result.returncode == 1
-    assert f"error: config key '{key}': " in result.stderr
-    assert "Traceback" not in result.stderr
+    code, _, err = run_cli("exp2", "--config", str(config))
+    assert code == 1
+    assert f"error: config key '{key}': " in err
 
 
 def _parser_defaults(parsers):
@@ -372,46 +349,50 @@ def _parser_defaults(parsers):
     ]
 
 
-def test_shared_parser_keeps_no_config_defaults_between_calls(tmp_path, capsys, monkeypatch):
+def test_shared_parser_keeps_no_config_defaults_between_calls(tmp_path, monkeypatch):
+    # The one place the CLI runs in a fresh process here: each call must
+    # give the same exit code, stdout and stderr as in a process of its own.
+    import subprocess
+    import sys
+
     # usage text wraps at the terminal width; pin it for both processes
     monkeypatch.setenv("COLUMNS", "80")
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"visibility": 0.885, "trials": 4000, "seed": 17}))
     with_config = ["exp1", "--config", str(config)]
-    calls = [["exp1"], with_config, ["exp1"], with_config + ["--trials", "x"], ["exp1"]]
+    calls = [["exp1"], with_config, ["exp1"], with_config + ["--trials", "x"],
+             ["exp1", "--trials", "0"], ["exp1"]]
     parser, subparsers = cli.build_parser()
     again = cli.build_parser()
     assert again[0] is parser and again[1] is subparsers
     parsers = [parser, *subparsers.values()]
     before = _parser_defaults(parsers)
+    codes = []
     for argv in calls:
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        fresh = run_cli(*argv)
-        assert (code, captured.out, captured.err) == (
-            fresh.returncode, fresh.stdout, fresh.stderr
-        ), argv
+        result = run_cli(*argv)
+        fresh = subprocess.run([sys.executable, "-m", "nchvsim.cli", *argv],
+                               capture_output=True, text=True)
+        assert result == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         assert _parser_defaults(parsers) == before, argv
-    assert code == 0 and "visibility=1" in captured.out
+        codes.append(result[0])
+    assert codes == [0, 0, 0, 1, 2, 0]
+    assert "visibility=1" in result[1]
 
 
 @pytest.mark.parametrize("seed", ["1", "3"])
 def test_single_trial_report_has_no_error_estimate_not_an_exact_verdict(tmp_path, seed):
     # every correlation comes out +-1, so the counting sigma is 0
     out = tmp_path / "report.json"
-    result = run_cli("exp2", "--trials", "1", "--seed", seed, "--out", str(out))
-    assert result.returncode == 0
-    assert "exact" not in result.stdout
+    code, stdout, _ = run_cli("exp2", "--trials", "1", "--seed", seed, "--out", str(out))
+    assert code == 0
+    assert "exact" not in stdout
     payload = json.loads(out.read_text())
     assert payload["derived"]["inequality_sigma"] == 0.0
     assert payload["derived"]["significance"] is None
     summary = payload["verdict"]["summary"]
     assert "no error estimate" in summary
     assert "more trials are needed" in summary
-    assert f"verdict: {summary}\n" in result.stdout
+    assert f"verdict: {summary}\n" in stdout
 
 
 def test_replayed_zero_sigma_stays_exact(tmp_path):
@@ -424,8 +405,7 @@ def test_replayed_zero_sigma_stays_exact(tmp_path):
         "-0.25,0,,-0.9,0\n"
     )
     out = tmp_path / "replay.json"
-    result = run_cli("replay", str(values), "--out", str(out))
-    assert result.returncode == 0
+    assert run_cli("replay", str(values), "--out", str(out))[0] == 0
     payload = json.loads(out.read_text())
     assert payload["derived"]["significance"] is None
     assert payload["verdict"]["summary"] == (
@@ -437,31 +417,31 @@ def test_replayed_zero_sigma_stays_exact(tmp_path):
 def test_few_trial_report_gives_no_gaussian_significance(tmp_path, seed):
     # sigma is small but not 0: most correlations come out +-1 from 5 trials
     out = tmp_path / "report.json"
-    result = run_cli("exp2", "--trials", "5", "--seed", seed, "--out", str(out))
-    assert result.returncode == 0
-    assert "standard deviations" not in result.stdout
+    code, stdout, _ = run_cli("exp2", "--trials", "5", "--seed", seed, "--out", str(out))
+    assert code == 0
+    assert "standard deviations" not in stdout
     payload = json.loads(out.read_text())
     assert payload["derived"]["inequality_sigma"] > 0.0
     assert payload["derived"]["significance"] is None
     summary = payload["verdict"]["summary"]
     assert "no error estimate" in summary
     assert "more trials are needed" in summary
-    assert f"verdict: {summary}\n" in result.stdout
+    assert f"verdict: {summary}\n" in stdout
 
 
 def test_unit_visibility_exp1_says_outcomes_are_deterministic(tmp_path):
     # every analytic correlation is +-1, so no trial count gives 5 events of
     # each product sign and more trials cannot help
     out = tmp_path / "report.json"
-    result = run_cli("exp1", "--trials", "10000", "--seed", "1", "--out", str(out))
-    assert result.returncode == 0
+    code, stdout, _ = run_cli("exp1", "--trials", "10000", "--seed", "1", "--out", str(out))
+    assert code == 0
     payload = json.loads(out.read_text())
     assert payload["derived"]["significance"] is None
     summary = payload["verdict"]["summary"]
     assert "no error estimate" in summary
     assert "the outcomes are deterministic at these settings" in summary
     assert "more trials" not in summary
-    assert f"verdict: {summary}\n" in result.stdout
+    assert f"verdict: {summary}\n" in stdout
 
 
 @pytest.mark.parametrize(
@@ -483,8 +463,7 @@ def test_unusable_replay_input_exits_2_with_line_number(tmp_path, data, line):
     values = tmp_path / "values.csv"
     values.write_bytes(data)
     out = tmp_path / "replay.json"
-    result = run_cli("replay", str(values), "--out", str(out))
-    assert result.returncode == 2
-    assert result.stderr.startswith(f"error: line {line}: ")
-    assert "Traceback" not in result.stderr
+    code, _, err = run_cli("replay", str(values), "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"error: line {line}: ")
     assert not out.exists()
