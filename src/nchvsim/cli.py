@@ -170,7 +170,8 @@ def _config_defaults(parser: argparse.ArgumentParser, target: argparse.ArgumentP
             values = json.load(handle)
     except OSError as exc:
         parser.error(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, not JSON, an int past str's digit limit, or nested too deep
         parser.error(f"bad config file: {exc}")
     if not isinstance(values, dict):
         parser.error("config file must hold a JSON object")
@@ -180,6 +181,9 @@ def _config_defaults(parser: argparse.ArgumentParser, target: argparse.ArgumentP
         name = key.replace("-", "_")
         if name not in actions or name in ("help", "config"):
             parser.error(f"config key {key!r} is not a flag of {command!r}")
+        if isinstance(value, str) and "\0" in value:
+            # as on a command line, which cannot carry one
+            parser.error(f"config key {key!r}: a value may not hold a NUL character")
         convert = actions[name].type
         if convert is None:
             if not isinstance(value, str):

@@ -188,8 +188,10 @@ def test_tokens_that_start_like_negative_numbers_are_values():
      "nchvsim: error: bad config file: Expecting value: line 1 column 1 (char 0)"),
     (("exp1", "--config", "{config}"), "[1, 2]",
      "nchvsim: error: config file must hold a JSON object"),
+    (("exp1", "--config", "{config}"), '{"out": "a\\u0000b", "trials": 10}',
+     "nchvsim: error: config key 'out': a value may not hold a NUL character"),
 ], ids=["phase-list", "sweep-parts", "sweep-number", "config-empty", "config-unreadable",
-        "config-not-json", "config-list"])
+        "config-not-json", "config-list", "config-nul"])
 def test_usage_error_exits_1_with_its_own_message(tmp_path, argv, contents, message):
     config = tmp_path / "run.json"
     if contents is not None:
@@ -197,6 +199,20 @@ def test_usage_error_exits_1_with_its_own_message(tmp_path, argv, contents, mess
     code, _, err = run_cli(*(token.replace("{config}", str(config)) for token in argv))
     assert code == 1
     assert err.splitlines()[-1] == message.replace("{config}", str(config))
+
+
+@pytest.mark.parametrize("contents", [
+    b'{"trials": \xff}',
+    b'{"trials": 1' + b"0" * 5000 + b"}",
+    b'{"out": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+], ids=["not-utf8", "int-past-the-digit-limit", "nested-too-deep"])
+def test_config_file_that_json_cannot_read_exits_1(tmp_path, contents):
+    # each used to end in a traceback from json.load
+    config = tmp_path / "run.json"
+    config.write_bytes(contents)
+    code, out, err = run_cli("exp1", "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith("nchvsim: error: bad config file: ")
 
 
 @pytest.mark.parametrize("argv, message", [
