@@ -49,6 +49,12 @@ INPUTS = {
     "float_trials.json": '{"trials": 1.5}\n',
     "not_json.json": "visibility = 0.9\n",
     "list.json": "[0.9]\n",
+    # Config files that json.load or open() used to fail on with a traceback;
+    # "\udcff" is written as the byte 0xff.
+    "nul_out.json": '{"out": "a\\u0000b", "trials": 10}\n',
+    "not_utf8.json": '{"trials": \udcff}\n',
+    "huge_int.json": '{"trials": 1' + "0" * 5000 + "}\n",
+    "nested.json": '{"out": ' + "[" * 100000 + "]" * 100000 + "}\n",
     # As spreadsheets' "CSV UTF-8" export writes it.
     "bom_exp2.csv": "\ufeff" + (ROOT / "fixtures" / "exp2_reference.csv").read_text("utf-8"),
     # One per replay matcher error.
@@ -158,6 +164,10 @@ def corpus() -> list[tuple[str, list[str], str | None]]:
         "config not JSON": ["exp1", "--config", "{tmp}/not_json.json"],
         "config list": ["exp1", "--config", "{tmp}/list.json"],
         "config missing file": ["exp1", "--config", "{tmp}/missing.json"],
+        "config NUL in out": ["exp1", "--config", "{tmp}/nul_out.json"],
+        "config not UTF-8": ["exp1", "--config", "{tmp}/not_utf8.json"],
+        "config int past the digit limit": ["exp1", "--config", "{tmp}/huge_int.json"],
+        "config nested too deep": ["exp1", "--config", "{tmp}/nested.json"],
         "equal phases": ["exp1", "--phi-a", "0.25", "--phi-a-prime", "0.25", "--trials", "100"],
         "replay non-numeric E": ["replay", "{tmp}/non_numeric_e.csv", "--out", "{tmp}/x.json"],
         "replay missing file": ["replay", "{tmp}/missing.csv"],
@@ -244,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(rev)], input=archive, check=True)
         for name, text in INPUTS.items():
-            (work / name).write_text(text, encoding="utf-8")
+            (work / name).write_bytes(text.encode("utf-8", "surrogateescape"))
         trees = [ROOT / "src", rev / "src"]
         differing = 0
         for index, (name, case_argv, suffix) in enumerate(cases):
