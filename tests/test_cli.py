@@ -5,9 +5,12 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nchvsim import cli, reports
 from nchvsim.montecarlo import MAX_TRIALS
+from nchvsim.reports import MAX_SCAN_SETTINGS
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -483,3 +486,127 @@ def test_unusable_replay_input_exits_2_with_line_number(tmp_path, data, line):
     assert code == 2
     assert err.startswith(f"error: line {line}: ")
     assert not out.exists()
+
+
+# The argv property test: half its argvs take only usable values, the rest
+# also the extremes of each kind.  Budget: an argv it builds may be
+# accepted only if it asks for at most 100 trials per setting and at most
+# 5 sweep steps times 3 x 3 fixed phases (45 settings); larger counts are
+# drawn only above MAX_TRIALS and MAX_SCAN_SETTINGS, where they are refused
+# before any sampling.  Every file it writes or names for writing is inside
+# tmp_path, written as ``{tmp}`` here.
+_ODD_FLOATS = ["-0.0", "1.5", "-1", "5e-324", "1e308", "-1e308", "nan", "inf", "-inf", ""]
+_ODD_COUNTS = ["0", "-1", str(-2**63), str(2**63), str(10**30), str(10**400), "1.5", "nan", ""]
+_ODD_PHASES = st.lists(st.sampled_from(["0", "0.5", *_ODD_FLOATS]), max_size=3).map(",".join)
+_ODD_SWEEPS = st.builds("{}:{}:{}".format, st.sampled_from(["-1", *_ODD_FLOATS]),
+                        st.sampled_from(["1", *_ODD_FLOATS]),
+                        st.sampled_from(["1", "5", str(MAX_SCAN_SETTINGS + 1), *_ODD_COUNTS])
+                        ) | st.sampled_from(["0:1", "1:2:3:4"])
+# flag -> (usable values, other values)
+_VALUES = {
+    "--trials": (st.sampled_from(["1", "5", "100"]),
+                 st.sampled_from([str(MAX_TRIALS + 1), *_ODD_COUNTS])),
+    "--seed": (st.sampled_from(["0", "1", str(2**64)]), st.sampled_from(_ODD_COUNTS)),
+    "--visibility": (st.sampled_from(["0", "0.9", "1"]), st.sampled_from(_ODD_FLOATS)),
+    "--efficiency": (st.sampled_from(["0.5", "1"]), st.sampled_from(["0", *_ODD_FLOATS])),
+    "--background": (st.sampled_from(["0", "0.05"]), st.sampled_from(["1", *_ODD_FLOATS])),
+    "--phi-a": (st.sampled_from(["0.25", "0.5"]), st.sampled_from(_ODD_FLOATS)),
+    "--phi-a-prime": (st.sampled_from(["0", "-0.25"]), st.sampled_from(["0.25", *_ODD_FLOATS])),
+    "--experiment": (st.sampled_from(["exp1", "exp2"]), st.sampled_from(["exp3", ""])),
+    "--sweep": (st.sampled_from(["-1:1:5", "0:0.5:1"]), _ODD_SWEEPS),
+    "--phi-b": (st.sampled_from(["0", "0,0.5", "0,0.25,0.5"]), _ODD_PHASES),
+    "--phi-c": (st.sampled_from(["0", "0,0.5"]), _ODD_PHASES),
+    "--expression": (st.sampled_from(["chsh", "mermin"]), st.sampled_from(["bell", ""])),
+    "--resolution": (st.sampled_from(["1e-4", "0.01"]),
+                     st.sampled_from(["1e-12", "1e-13", "0.1", "0.2", *_ODD_FLOATS])),
+    "--out": (st.sampled_from(["{tmp}/out"]), st.sampled_from(["", "{tmp}/missing/out", "{tmp}"])),
+}
+_FLAGS = {
+    "scan": ["--experiment", "--sweep", "--phi-b", "--phi-c"],
+    "exp1": ["--phi-a", "--phi-a-prime"],
+    "exp2": ["--phi-a", "--phi-a-prime"],
+    "nchv-bound": ["--expression"],
+    "threshold": ["--expression", "--resolution"],
+    "replay": [],
+}
+_NOISE = ["--trials", "--seed", "--visibility", "--efficiency", "--background"]
+# Always given, to keep the budget: the defaults are 10000 trials and 25 steps.
+_REQUIRED = {"--trials", "--sweep", "--experiment", "--expression"}
+# Config values of every JSON kind, at the same extremes; a string here may
+# reach --out, so each is refused, empty or inside tmp_path.
+_ODD_JSON = st.sampled_from([0, -1, 2**63, 10**400, 1.5, 1e308, math.nan, math.inf, -math.inf,
+                             True, None, [], [1], {}, ""]) | st.sampled_from(["1\0", "{tmp}/a\0b"])
+_CSV_FIELDS = st.sampled_from(["", "x", "0", "0.25", "-0.25", "0.5", "0.9", "0.01", *_ODD_FLOATS])
+
+
+@st.composite
+def _argvs(draw):
+    """(argv, config object or None, replay CSV text or None)."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from([[command], []])) + ["--help"], None, None
+    usable = draw(st.booleans())
+
+    def value(flag):
+        good, odd = _VALUES[flag]
+        return draw(good if usable else good | odd)
+
+    simulating = command in ("scan", "exp1", "exp2")
+    flags = [*(_NOISE if simulating else []), *_FLAGS[command], "--out"]
+    argv = [command]
+    if command == "replay":
+        argv.append(draw(st.sampled_from([str(FIXTURES / "exp1_reference.csv"),
+                                          str(FIXTURES / "exp2_reference.csv"),
+                                          "{tmp}/values.csv", "{tmp}/missing.csv"])))
+    for flag in flags:
+        if flag in _REQUIRED or draw(st.booleans()):
+            token = value(flag)
+            argv += [f"{flag}={token}"] if draw(st.booleans()) else [flag, token]
+    config = values = None
+    if simulating and draw(st.booleans()):
+        keys = st.sampled_from([flag[2:] for flag in flags])
+        if usable:
+            config = draw(st.dictionaries(keys, st.just(None), max_size=4))
+            config = {key: value(f"--{key}") for key in config}
+        else:
+            keys |= st.sampled_from(["no-such-flag", "help", "config"])
+            config = draw(st.dictionaries(keys, st.just(None), min_size=1, max_size=4)
+                          | st.sampled_from([{}, [], "", 1]))
+            for key in config if isinstance(config, dict) else ():
+                flag = f"--{key}"
+                config[key] = (value(flag) if flag in flags and draw(st.booleans())
+                               else draw(_ODD_JSON))
+        argv += ["--config", draw(st.sampled_from(["{tmp}/config.json"] if usable else
+                                                  ["{tmp}/config.json", "{tmp}/missing.json", ""]))]
+    if command == "replay":
+        rows = draw(st.lists(st.lists(_CSV_FIELDS, min_size=5, max_size=5), max_size=4))
+        values = "".join(",".join(row) + "\n" for row in [["phi_a", "phi_b", "phi_c", "E", "sigma"],
+                                                          *rows])
+    return argv, config, values
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_argvs())
+def test_no_argv_ends_in_an_exception_or_an_unexpected_exit(tmp_path, case):
+    argv, config, values = case
+
+    def here(text):
+        return text.replace("{tmp}", str(tmp_path))
+
+    if config is not None:
+        if isinstance(config, dict):
+            config = {key: here(value) if isinstance(value, str) else value
+                      for key, value in config.items()}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+    if values is not None:
+        (tmp_path / "values.csv").write_text(values)
+    code, out, err = run_cli(*map(here, argv))
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    elif code == 1:
+        assert ": error: " in err.splitlines()[-1]
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
