@@ -18,8 +18,9 @@ always comes from a full run.  One line is printed per mutant: KILLED with
 the first failing test, SURVIVED with the reason the mutant is wrong, or
 TIMEOUT if a pytest run lasted longer than ``TIMEOUT_SECONDS``; that run
 and every process it started are killed.  The exit status is 1 if any
-mutant survives or times out, or if a run ends without naming a failed
-test.
+mutant survives or times out, if a run ends without naming a failed test,
+or if any killing test is STALE: a renamed test leaves a stale id behind,
+and the entry must name the test that kills the mutant now.
 
 The file name keeps it out of pytest's collection.  A mutant whose killing
 test still kills it costs one pytest start-up, not one tier-1 run.
@@ -150,6 +151,9 @@ MUTANTS = [
      "if steps * len(fixed) >= MAX_SCAN_SETTINGS:",
      "scan_phase refuses a scan of exactly MAX_SCAN_SETTINGS settings",
      "tests/test_cli.py::test_scan_settings_ceiling_is_the_largest_accepted_scan[at-ceiling]"),
+    ("cli", "return USAGE_EXIT if exc.code else 0", "return exc.code",
+     "a usage error returns argparse's status 2, which this package keeps for computation errors",
+     "tests/test_cli.py::test_usage_errors_exit_1"),
 ]
 
 
@@ -224,6 +228,7 @@ def main() -> int:
         code, output, stale = run_mutant(module, source, replacement, node)
         if stale:
             print(f"STALE     {name}: {node} is not collected; ran tier-1", flush=True)
+            faults += 1
         seconds = f"{time.perf_counter() - start:.0f} s"
         failure = first_failure(output)
         if code is None:
