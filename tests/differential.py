@@ -72,21 +72,12 @@ INPUTS = {
 # Seeded library calls, run as ``python -c LIBRARY SECTION``.
 LIBRARY = r"""
 import random, sys
-import nchvsim
 from nchvsim import (
     EstimationError, NoiseModel, PhaseGrid, PhaseSetting, classical_bound, correlation_qm2,
-    correlation_qm3, sample_counts,
+    correlation_qm3, estimate_correlation, sample_counts,
 )
 from nchvsim.montecarlo import noisy_probabilities
 from nchvsim.nchv import ExpressionTerm
-
-if hasattr(nchvsim, "estimate_correlation"):
-    estimate_correlation = nchvsim.estimate_correlation
-else:  # revisions that name one estimator per experiment
-    def estimate_correlation(counts):
-        three = counts.setting.analyzers == 3
-        return getattr(nchvsim, "estimate_correlation_exp1" if three
-                       else "estimate_correlation_exp2")(counts)
 
 rng = random.Random(16)
 section = sys.argv[1]
