@@ -270,6 +270,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
     try:
+        for token in argv:
+            if "\0" in token:
+                # a Python caller can pass one; a command line cannot
+                parser.error(f"argument {token!r} may not hold a NUL character")
         args = parser.parse_args(argv)
         if getattr(args, "config", None) is not None:
             # Parse the subcommand's tokens again onto the config values:

@@ -193,8 +193,10 @@ def test_tokens_that_start_like_negative_numbers_are_values():
      "nchvsim: error: config file must hold a JSON object"),
     (("exp1", "--config", "{config}"), '{"out": "a\\u0000b", "trials": 10}',
      "nchvsim: error: config key 'out': a value may not hold a NUL character"),
+    (("exp1", "--trials", "10", "--out", "a\0b"), None,
+     "nchvsim: error: argument 'a\\x00b' may not hold a NUL character"),
 ], ids=["phase-list", "sweep-parts", "sweep-number", "config-empty", "config-unreadable",
-        "config-not-json", "config-list", "config-nul"])
+        "config-not-json", "config-list", "config-nul", "argv-nul"])
 def test_usage_error_exits_1_with_its_own_message(tmp_path, argv, contents, message):
     config = tmp_path / "run.json"
     if contents is not None:
