@@ -490,13 +490,14 @@ def test_unusable_replay_input_exits_2_with_line_number(tmp_path, data, line):
     assert not out.exists()
 
 
-# The argv property test: half its argvs take only usable values, the rest
-# also the extremes of each kind.  Budget: an argv it builds may be
-# accepted only if it asks for at most 100 trials per setting and at most
-# 5 sweep steps times 3 x 3 fixed phases (45 settings); larger counts are
-# drawn only above MAX_TRIALS and MAX_SCAN_SETTINGS, where they are refused
-# before any sampling.  Every file it writes or names for writing is inside
-# tmp_path, written as ``{tmp}`` here.
+# The argv property test: some argvs take only usable values, and each of
+# the others holds one of the extremes of its kind, on the command line or
+# in the config file, so that it passes every other check.  Budget: an argv
+# it builds may be accepted only if it asks for at most 100 trials per
+# setting and at most 5 sweep steps times 3 x 3 fixed phases (45 settings);
+# larger counts are drawn only above MAX_TRIALS and MAX_SCAN_SETTINGS, where
+# they are refused before any sampling.  Every file it writes or names for
+# writing is inside tmp_path, written as ``{tmp}`` here.
 _ODD_FLOATS = ["-0.0", "1.5", "-1", "5e-324", "1e308", "-1e308", "nan", "inf", "-inf", ""]
 _ODD_COUNTS = ["0", "-1", str(-2**63), str(2**63), str(10**30), str(10**400), "1.5", "nan", ""]
 _ODD_PHASES = st.lists(st.sampled_from(["0", "0.5", *_ODD_FLOATS]), max_size=3).map(",".join)
@@ -521,7 +522,8 @@ _VALUES = {
     "--expression": (st.sampled_from(["chsh", "mermin"]), st.sampled_from(["bell", ""])),
     "--resolution": (st.sampled_from(["1e-4", "0.01"]),
                      st.sampled_from(["1e-12", "1e-13", "0.1", "0.2", *_ODD_FLOATS])),
-    "--out": (st.sampled_from(["{tmp}/out"]), st.sampled_from(["", "{tmp}/missing/out", "{tmp}"])),
+    "--out": (st.sampled_from(["{tmp}/out"]),
+              st.sampled_from(["", "{tmp}/missing/out", "{tmp}", "{tmp}/a\0b"])),
 }
 _FLAGS = {
     "scan": ["--experiment", "--sweep", "--phi-b", "--phi-c"],
@@ -547,39 +549,42 @@ def _argvs(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
     if draw(st.integers(0, 19)) == 0:
         return draw(st.sampled_from([[command], []])) + ["--help"], None, None
-    usable = draw(st.booleans())
-
-    def value(flag):
-        good, odd = _VALUES[flag]
-        return draw(good if usable else good | odd)
-
     simulating = command in ("scan", "exp1", "exp2")
     flags = [*(_NOISE if simulating else []), *_FLAGS[command], "--out"]
+    # where the one odd value goes, if any
+    odd = draw(st.sampled_from([None, "argv", *(["config"] if simulating else [])]))
+    odd_flag = draw(st.sampled_from(flags)) if odd == "argv" else None
+
+    def value(flag):
+        good, other = _VALUES[flag]
+        return draw(other if flag == odd_flag else good)
+
     argv = [command]
     if command == "replay":
         argv.append(draw(st.sampled_from([str(FIXTURES / "exp1_reference.csv"),
                                           str(FIXTURES / "exp2_reference.csv"),
                                           "{tmp}/values.csv", "{tmp}/missing.csv"])))
     for flag in flags:
-        if flag in _REQUIRED or draw(st.booleans()):
+        if flag in _REQUIRED or flag == odd_flag or draw(st.booleans()):
             token = value(flag)
             argv += [f"{flag}={token}"] if draw(st.booleans()) else [flag, token]
     config = values = None
-    if simulating and draw(st.booleans()):
-        keys = st.sampled_from([flag[2:] for flag in flags])
-        if usable:
-            config = draw(st.dictionaries(keys, st.just(None), max_size=4))
-            config = {key: value(f"--{key}") for key in config}
-        else:
-            keys |= st.sampled_from(["no-such-flag", "help", "config"])
-            config = draw(st.dictionaries(keys, st.just(None), min_size=1, max_size=4)
-                          | st.sampled_from([{}, [], "", 1]))
-            for key in config if isinstance(config, dict) else ():
-                flag = f"--{key}"
-                config[key] = (value(flag) if flag in flags and draw(st.booleans())
-                               else draw(_ODD_JSON))
-        argv += ["--config", draw(st.sampled_from(["{tmp}/config.json"] if usable else
-                                                  ["{tmp}/config.json", "{tmp}/missing.json", ""]))]
+    if odd == "config" or simulating and draw(st.booleans()):
+        keys = [flag[2:] for flag in flags]
+        config = {key: value(f"--{key}")
+                  for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=4))}
+        path = "{tmp}/config.json"
+        if odd == "config":
+            where = draw(st.sampled_from(["value", "key", "object", "path"]))
+            if where == "value":
+                config[draw(st.sampled_from(keys))] = draw(_ODD_JSON)
+            elif where == "key":
+                config[draw(st.sampled_from(["no-such-flag", "help", "config"]))] = draw(_ODD_JSON)
+            elif where == "object":
+                config = draw(st.sampled_from([[], "", 1, True]))
+            else:
+                path = draw(st.sampled_from(["{tmp}/missing.json", ""]))
+        argv += ["--config", path]
     if command == "replay":
         rows = draw(st.lists(st.lists(_CSV_FIELDS, min_size=5, max_size=5), max_size=4))
         values = "".join(",".join(row) + "\n" for row in [["phi_a", "phi_b", "phi_c", "E", "sigma"],
