@@ -1,6 +1,8 @@
-"""Let the CLI tests' ``python -m nchvsim.cli`` subprocesses import the
-package from a plain checkout.  In-process imports use ``pythonpath`` in
-``pyproject.toml``; subprocesses only see the environment.
+"""Let the tests' ``python -m nchvsim.cli`` subprocesses import the
+package from a plain checkout: the golden cases in ``test_golden.py`` and
+the fresh-process comparison in ``test_cli.py``.  Every other CLI test
+calls ``cli.main`` in-process, and in-process imports use ``pythonpath``
+in ``pyproject.toml``; subprocesses only see the environment.
 
 Also import hypothesis' failure-patching module once, with its import
 warnings ignored.  hypothesis' pytest plugin imports it when a ``@given``
